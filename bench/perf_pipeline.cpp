@@ -473,31 +473,27 @@ std::string run_streaming_section(const synth::Dataset& dataset) {
   std::uint64_t accepted = 0;
   for (const auto& w : windows) accepted += w.events.size();
 
-  // Incremental analytics: absorb every window, snapshot at the end, and
-  // cross-check the snapshots against the batch passes over the same
-  // corpus — the bit-identity the streaming layer guarantees.
+  // Incremental analytics: absorb every window and snapshot at the end.
   analysis::StreamingAnalytics analytics(dataset.corpus);
-  std::uint64_t stream_sum = 0;
+  analysis::MonthlySummary monthly;
+  analysis::SigningRates rates;
+  analysis::PrevalenceDistributions prevalence;
+  analysis::MachineCoverage coverage;
   const double analytics_ms = bench::time_ms([&] {
     for (const auto& w : windows) analytics.absorb(w);
-    const auto monthly = analytics.monthly(annotated);
-    const auto rates = analytics.signing(annotated);
-    const auto prevalence = analytics.prevalence(annotated);
-    stream_sum = monthly.overall.events + monthly.overall.files;
-    stream_sum = stream_sum * 1'000'003 + rates.benign.files +
-                 rates.malicious.files;
-    stream_sum = stream_sum * 1'000'003 + prevalence.all.size();
+    monthly = analytics.monthly(annotated);
+    rates = analytics.signing(annotated);
+    prevalence = analytics.prevalence(annotated);
+    coverage = analytics.coverage(annotated);
   });
-  std::uint64_t batch_sum = 0;
-  {
-    const auto monthly = analysis::monthly_summary(annotated);
-    const auto rates = analysis::signing_rates(annotated);
-    const auto prevalence = analysis::prevalence_distributions(annotated);
-    batch_sum = monthly.overall.events + monthly.overall.files;
-    batch_sum =
-        batch_sum * 1'000'003 + rates.benign.files + rates.malicious.files;
-    batch_sum = batch_sum * 1'000'003 + prevalence.all.size();
-  }
+  // Untimed cross-check: every field of every snapshot equals the batch
+  // pass over the same corpus — the bit-identity the streaming layer
+  // guarantees.
+  const bool snapshots_consistent =
+      monthly == analysis::monthly_summary(annotated) &&
+      rates == analysis::signing_rates(annotated) &&
+      prevalence == analysis::prevalence_distributions(annotated) &&
+      coverage == analysis::machine_coverage(annotated);
 
   // Serving loop: window-by-window online labeling with freshness
   // accounting (report-to-labeled latency, exact percentiles).
@@ -531,7 +527,7 @@ std::string run_streaming_section(const synth::Dataset& dataset) {
       .field("ingest_ms", ingest_ms)
       .field("ingest_events_per_sec", ingest_rate)
       .field("analytics_ms", analytics_ms)
-      .field("snapshots_consistent", stream_sum == batch_sum)
+      .field("snapshots_consistent", snapshots_consistent)
       .field("serve_ms", serve_ms)
       .field("files_reported", fresh.files_reported)
       .field("files_labeled", fresh.files_labeled)

@@ -1,30 +1,31 @@
 #include "analysis/coverage.hpp"
 
-#include <unordered_set>
-
-#include "telemetry/scan.hpp"
+#include <vector>
 
 namespace longtail::analysis {
 
 MachineCoverage machine_coverage(const AnnotatedCorpus& a) {
-  using VerdictSets =
-      std::array<std::unordered_set<std::uint32_t>, model::kNumVerdicts>;
-  const VerdictSets sets = telemetry::scan_reduce(
-      *a.corpus, [] { return VerdictSets{}; },
-      [&](VerdictSets& acc, const auto& e) {
-        acc[static_cast<std::size_t>(a.verdict(e.file()))].insert(
-            e.machine().raw());
-      },
-      [](VerdictSets& total, VerdictSets&& shard) {
-        for (std::size_t v = 0; v < model::kNumVerdicts; ++v)
-          total[v].merge(shard[v]);
-      },
-      "analysis.machine_coverage");
+  return machine_coverage(a, a.index.reach());
+}
 
+MachineCoverage machine_coverage(const AnnotatedCorpus& a,
+                                 const telemetry::FileReach& reach) {
+  static_assert(model::kNumVerdicts <= 8, "verdict bits must fit a byte");
+  // Bit v set: the machine downloaded at least one file of verdict v.
+  std::vector<std::uint8_t> seen(a.corpus->machine_count, 0);
+  for (std::uint32_t i = 0; i < reach.num_files(); ++i) {
+    const model::FileId f{i};
+    const auto bit =
+        static_cast<std::uint8_t>(1u << static_cast<unsigned>(a.verdict(f)));
+    for (const auto m : reach.machines(f)) seen[m.raw()] |= bit;
+  }
   MachineCoverage out;
-  out.active_machines = a.index.num_active_machines();
-  for (std::size_t v = 0; v < model::kNumVerdicts; ++v)
-    out.machines[v] = sets[v].size();
+  for (const unsigned bits : seen) {
+    if (bits == 0) continue;
+    ++out.active_machines;
+    for (std::size_t v = 0; v < model::kNumVerdicts; ++v)
+      out.machines[v] += (bits >> v) & 1u;
+  }
   return out;
 }
 

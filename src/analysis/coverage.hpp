@@ -15,6 +15,9 @@ struct MachineCoverage {
   std::array<std::uint64_t, model::kNumVerdicts> machines{};
   std::uint64_t active_machines = 0;
 
+  friend bool operator==(const MachineCoverage&,
+                         const MachineCoverage&) = default;
+
   [[nodiscard]] double pct(model::Verdict v) const {
     return active_machines == 0
                ? 0.0
@@ -26,5 +29,12 @@ struct MachineCoverage {
 };
 
 MachineCoverage machine_coverage(const AnnotatedCorpus& a);
+
+// The finisher behind the batch call above (which passes
+// `a.index.reach()`) and the streaming snapshot (analysis/streaming.hpp):
+// the machines of every file `reach` has seen, bucketed by the file's
+// verdict under `a`'s labels.
+MachineCoverage machine_coverage(const AnnotatedCorpus& a,
+                                 const telemetry::FileReach& reach);
 
 }  // namespace longtail::analysis

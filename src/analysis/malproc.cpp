@@ -1,104 +1,32 @@
 #include "analysis/malproc.hpp"
 
-#include <unordered_set>
-
 #include "telemetry/scan.hpp"
-#include "util/stats.hpp"
 
 namespace longtail::analysis {
 
-namespace {
-
-using model::Verdict;
-
-// Local accumulator mirroring processes.cpp's (kept separate deliberately:
-// Table XII rows do not report infection rates, but the struct is shared).
-struct Acc {
-  std::unordered_set<std::uint32_t> processes, machines, infected;
-  std::unordered_set<std::uint32_t> unknown_files, benign_files,
-      malicious_files;
-  std::array<std::uint64_t, model::kNumMalwareTypes> type_file_counts{};
-  std::unordered_set<std::uint32_t> counted_malicious;
-};
-
-void add(Acc& acc, const AnnotatedCorpus& a,
-         const telemetry::EventStore::EventRef& e) {
-  acc.processes.insert(e.process().raw());
-  acc.machines.insert(e.machine().raw());
-  switch (a.verdict(e.file())) {
-    case Verdict::kUnknown:
-      acc.unknown_files.insert(e.file().raw());
-      break;
-    case Verdict::kBenign:
-      acc.benign_files.insert(e.file().raw());
-      break;
-    case Verdict::kMalicious:
-      acc.malicious_files.insert(e.file().raw());
-      acc.infected.insert(e.machine().raw());
-      if (acc.counted_malicious.insert(e.file().raw()).second)
-        ++acc.type_file_counts[static_cast<std::size_t>(a.type_of(e.file()))];
-      break;
-    default:
-      break;
-  }
-}
-
-// Shard merge; replays `counted_malicious` so per-type counts stay
-// distinct-file counts, identical to the serial pass.
-void merge(Acc& total, const AnnotatedCorpus& a, Acc&& o) {
-  total.processes.merge(o.processes);
-  total.machines.merge(o.machines);
-  total.infected.merge(o.infected);
-  total.unknown_files.merge(o.unknown_files);
-  total.benign_files.merge(o.benign_files);
-  total.malicious_files.merge(o.malicious_files);
-  for (const auto f : o.counted_malicious)
-    if (total.counted_malicious.insert(f).second)
-      ++total.type_file_counts[static_cast<std::size_t>(
-          a.type_of(model::FileId{f}))];
-}
-
-ProcessBehaviorRow finish(const Acc& acc) {
-  ProcessBehaviorRow row;
-  row.processes = acc.processes.size();
-  row.machines = acc.machines.size();
-  row.unknown_files = acc.unknown_files.size();
-  row.benign_files = acc.benign_files.size();
-  row.malicious_files = acc.malicious_files.size();
-  row.infected_machines_pct =
-      util::percent(acc.infected.size(), acc.machines.size());
-  std::uint64_t total = 0;
-  for (const auto c : acc.type_file_counts) total += c;
-  for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t)
-    row.type_pct[t] = util::percent(acc.type_file_counts[t], total);
-  return row;
-}
-
-}  // namespace
-
 MalProcBehavior malicious_process_behavior(const AnnotatedCorpus& a) {
   struct Tables {
-    std::array<Acc, model::kNumMalwareTypes> per_type;
-    Acc overall;
+    std::array<RowAccumulator, model::kNumMalwareTypes> per_type;
+    RowAccumulator overall;
   };
-  auto [per_type, overall] = telemetry::scan_reduce(
+  const auto [per_type, overall] = telemetry::scan_reduce(
       *a.corpus, [] { return Tables{}; },
       [&](Tables& s, const auto& e) {
-        if (a.verdict(e.process()) != Verdict::kMalicious) return;
+        if (a.verdict(e.process()) != model::Verdict::kMalicious) return;
         const auto t = static_cast<std::size_t>(a.type_of(e.process()));
-        add(s.per_type[t], a, e);
-        add(s.overall, a, e);
+        s.per_type[t].add(a, e);
+        s.overall.add(a, e);
       },
       [&](Tables& total, Tables&& shard) {
         for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t)
-          merge(total.per_type[t], a, std::move(shard.per_type[t]));
-        merge(total.overall, a, std::move(shard.overall));
+          total.per_type[t].merge(a, std::move(shard.per_type[t]));
+        total.overall.merge(a, std::move(shard.overall));
       },
       "analysis.malicious_process_behavior");
   MalProcBehavior out;
   for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t)
-    out.per_type[t] = finish(per_type[t]);
-  out.overall = finish(overall);
+    out.per_type[t] = per_type[t].finish();
+  out.overall = overall.finish();
   return out;
 }
 

@@ -7,90 +7,133 @@ namespace longtail::analysis {
 
 namespace {
 
+using groundtruth::UrlVerdict;
 using model::Verdict;
 
-MonthlyTally tally_range(const AnnotatedCorpus& a, std::uint32_t begin,
-                         std::uint32_t end) {
-  return telemetry::scan_reduce(
-      *a.corpus, begin, end, [] { return MonthlyTally{}; },
-      [](MonthlyTally& acc, const auto& e) { acc.add(e); },
-      [](MonthlyTally& total, MonthlyTally&& shard) {
-        total.merge(std::move(shard));
-      },
-      "analysis.monthly");
+// Slot of the overall row, after the eight calendar months.
+constexpr std::size_t kOverall = model::kNumCalendarMonths;
+constexpr std::size_t kNumUrlVerdicts =
+    static_cast<std::size_t>(UrlVerdict::kUnknown) + 1;
+
+// Distinct entities seen in each month, and in any month (slot kOverall),
+// split by verdict.
+template <std::size_t kVerdicts>
+struct Counts {
+  std::array<std::array<std::uint64_t, kVerdicts>, kOverall + 1> by_verdict{};
+  std::array<std::uint64_t, kOverall + 1> total{};
+
+  template <typename V>
+  [[nodiscard]] double pct(std::size_t slot, V v) const {
+    return util::percent(by_verdict[slot][static_cast<std::size_t>(v)],
+                         total[slot]);
+  }
+};
+
+// Verdict table of entities that have none (machines).
+struct NoVerdicts {
+  int operator[](std::size_t) const { return 0; }
+};
+
+template <std::size_t kVerdicts, typename Verdicts>
+Counts<kVerdicts> count_months(const std::vector<std::uint8_t>& months,
+                               const Verdicts& verdicts) {
+  Counts<kVerdicts> out;
+  for (std::size_t i = 0; i < months.size(); ++i) {
+    const unsigned seen = months[i];
+    if (seen == 0) continue;
+    const auto v = static_cast<std::size_t>(verdicts[i]);
+    for (std::size_t m = 0; m < kOverall; ++m) {
+      if (((seen >> m) & 1u) == 0) continue;
+      ++out.by_verdict[m][v];
+      ++out.total[m];
+    }
+    ++out.by_verdict[kOverall][v];
+    ++out.total[kOverall];
+  }
+  return out;
+}
+
+void or_into(std::vector<std::uint8_t>& to,
+             const std::vector<std::uint8_t>& from) {
+  for (std::size_t i = 0; i < from.size(); ++i) to[i] |= from[i];
 }
 
 }  // namespace
 
-MonthlyRow summarize_tally(const AnnotatedCorpus& a, const MonthlyTally& t,
-                           std::uint64_t events) {
-  MonthlyRow row;
-  row.machines = t.machines.size();
-  row.events = events;
+MonthlyTally::MonthlyTally(const telemetry::Corpus& corpus)
+    : machines(corpus.machine_count, 0),
+      processes(corpus.processes.size(), 0),
+      files(corpus.files.size(), 0),
+      urls(corpus.urls.size(), 0) {}
 
-  row.processes = t.processes.size();
-  std::uint64_t pb = 0, plb = 0, pm = 0, plm = 0;
-  for (auto p : t.processes) {
-    switch (a.labels.process_verdicts[p]) {
-      case Verdict::kBenign: ++pb; break;
-      case Verdict::kLikelyBenign: ++plb; break;
-      case Verdict::kMalicious: ++pm; break;
-      case Verdict::kLikelyMalicious: ++plm; break;
-      case Verdict::kUnknown: break;
-    }
-  }
-  row.proc_benign = util::percent(pb, row.processes);
-  row.proc_likely_benign = util::percent(plb, row.processes);
-  row.proc_malicious = util::percent(pm, row.processes);
-  row.proc_likely_malicious = util::percent(plm, row.processes);
+void MonthlyTally::add(telemetry::EventStore::EventRef e) {
+  const auto m = static_cast<std::size_t>(model::month_of(e.time()));
+  const auto bit = static_cast<std::uint8_t>(1u << m);
+  machines[e.machine().raw()] |= bit;
+  processes[e.process().raw()] |= bit;
+  files[e.file().raw()] |= bit;
+  urls[e.url().raw()] |= bit;
+  ++events[m];
+}
 
-  row.files = t.files.size();
-  std::uint64_t fb = 0, flb = 0, fm = 0, flm = 0;
-  for (auto f : t.files) {
-    switch (a.labels.file_verdicts[f]) {
-      case Verdict::kBenign: ++fb; break;
-      case Verdict::kLikelyBenign: ++flb; break;
-      case Verdict::kMalicious: ++fm; break;
-      case Verdict::kLikelyMalicious: ++flm; break;
-      case Verdict::kUnknown: break;
-    }
-  }
-  row.file_benign = util::percent(fb, row.files);
-  row.file_likely_benign = util::percent(flb, row.files);
-  row.file_malicious = util::percent(fm, row.files);
-  row.file_likely_malicious = util::percent(flm, row.files);
+void MonthlyTally::merge(const MonthlyTally& other) {
+  or_into(machines, other.machines);
+  or_into(processes, other.processes);
+  or_into(files, other.files);
+  or_into(urls, other.urls);
+  for (std::size_t m = 0; m < events.size(); ++m) events[m] += other.events[m];
+}
 
-  row.urls = t.urls.size();
-  std::uint64_t ub = 0, um = 0;
-  for (auto u : t.urls) {
-    switch (a.url_verdicts[u]) {
-      case groundtruth::UrlVerdict::kBenign: ++ub; break;
-      case groundtruth::UrlVerdict::kMalicious: ++um; break;
-      case groundtruth::UrlVerdict::kUnknown: break;
-    }
+MonthlySummary summarize_tally(const AnnotatedCorpus& a,
+                               const MonthlyTally& t) {
+  const auto machines = count_months<1>(t.machines, NoVerdicts{});
+  const auto procs =
+      count_months<model::kNumVerdicts>(t.processes, a.labels.process_verdicts);
+  const auto files =
+      count_months<model::kNumVerdicts>(t.files, a.labels.file_verdicts);
+  const auto urls = count_months<kNumUrlVerdicts>(t.urls, a.url_verdicts);
+
+  auto row = [&](std::size_t slot, std::uint64_t events) {
+    MonthlyRow r;
+    r.machines = machines.total[slot];
+    r.events = events;
+
+    r.processes = procs.total[slot];
+    r.proc_benign = procs.pct(slot, Verdict::kBenign);
+    r.proc_likely_benign = procs.pct(slot, Verdict::kLikelyBenign);
+    r.proc_malicious = procs.pct(slot, Verdict::kMalicious);
+    r.proc_likely_malicious = procs.pct(slot, Verdict::kLikelyMalicious);
+
+    r.files = files.total[slot];
+    r.file_benign = files.pct(slot, Verdict::kBenign);
+    r.file_likely_benign = files.pct(slot, Verdict::kLikelyBenign);
+    r.file_malicious = files.pct(slot, Verdict::kMalicious);
+    r.file_likely_malicious = files.pct(slot, Verdict::kLikelyMalicious);
+
+    r.urls = urls.total[slot];
+    r.url_benign = urls.pct(slot, UrlVerdict::kBenign);
+    r.url_malicious = urls.pct(slot, UrlVerdict::kMalicious);
+    return r;
+  };
+
+  MonthlySummary out;
+  std::uint64_t events = 0;
+  for (std::size_t m = 0; m < model::kNumCalendarMonths; ++m) {
+    if (m < model::kNumCollectionMonths) out.months[m] = row(m, t.events[m]);
+    events += t.events[m];
   }
-  row.url_benign = util::percent(ub, row.urls);
-  row.url_malicious = util::percent(um, row.urls);
-  return row;
+  out.overall = row(kOverall, events);
+  return out;
 }
 
 MonthlySummary monthly_summary(const AnnotatedCorpus& a) {
-  MonthlySummary out;
-  MonthlyTally overall;
-
-  for (std::size_t m = 0; m < model::kNumCollectionMonths; ++m) {
-    const auto [begin, end] =
-        a.index.month_range(static_cast<model::Month>(m));
-    const MonthlyTally month = tally_range(a, begin, end);
-    overall.absorb(month);
-    out.months[m] = summarize_tally(a, month, end - begin);
-  }
-  // Include any spill past July in the overall row.
-  const auto [aug_begin, aug_end] = a.index.month_range(model::Month::kAugust);
-  overall.merge(tally_range(a, aug_begin, aug_end));
-
-  out.overall = summarize_tally(a, overall, a.corpus->events.size());
-  return out;
+  const telemetry::Corpus& corpus = *a.corpus;
+  const MonthlyTally tally = telemetry::scan_reduce(
+      corpus, [&] { return MonthlyTally(corpus); },
+      [](MonthlyTally& t, const auto& e) { t.add(e); },
+      [](MonthlyTally& total, MonthlyTally&& shard) { total.merge(shard); },
+      "analysis.monthly");
+  return summarize_tally(a, tally);
 }
 
 }  // namespace longtail::analysis

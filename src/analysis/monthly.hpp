@@ -5,7 +5,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "analysis/annotated.hpp"
 #include "model/time.hpp"
@@ -26,46 +26,40 @@ struct MonthlyRow {
 
   std::uint64_t urls = 0;
   double url_benign = 0, url_malicious = 0;
+
+  friend bool operator==(const MonthlyRow&, const MonthlyRow&) = default;
 };
 
 struct MonthlySummary {
   std::array<MonthlyRow, model::kNumCollectionMonths> months{};
   MonthlyRow overall;  // distinct entities over the whole period
+
+  friend bool operator==(const MonthlySummary&,
+                         const MonthlySummary&) = default;
 };
 
-// Distinct-entity tally over one time slice — the shared accumulator of
-// the batch month scans and the streaming absorb path
-// (analysis/streaming.hpp). All consumers only read set sizes and
-// verdict-bucketed sums, so results are independent of insertion order.
+// The label-free state of Table I, shared by the batch scan and the
+// streaming snapshot (analysis/streaming.hpp). One byte per machine,
+// process, file and URL has bit `month_of(t)` set for every month the
+// entity appears in (the eight calendar months fit in a byte), plus the
+// event count per month. Shards merge by OR and sum, so the state
+// depends only on the set of events added.
 struct MonthlyTally {
-  std::unordered_set<std::uint32_t> machines, processes, files, urls;
+  std::vector<std::uint8_t> machines, processes, files, urls;
+  std::array<std::uint64_t, model::kNumCalendarMonths> events{};
 
-  void add(const telemetry::EventStore::EventRef& e) {
-    machines.insert(e.machine().raw());
-    processes.insert(e.process().raw());
-    files.insert(e.file().raw());
-    urls.insert(e.url().raw());
-  }
+  MonthlyTally() = default;  // empty; scan_reduce's shard slots need it
+  // Sized for `corpus`'s entity tables.
+  explicit MonthlyTally(const telemetry::Corpus& corpus);
 
-  void merge(MonthlyTally&& other) {
-    machines.merge(other.machines);
-    processes.merge(other.processes);
-    files.merge(other.files);
-    urls.merge(other.urls);
-  }
-
-  void absorb(const MonthlyTally& other) {
-    machines.insert(other.machines.begin(), other.machines.end());
-    processes.insert(other.processes.begin(), other.processes.end());
-    files.insert(other.files.begin(), other.files.end());
-    urls.insert(other.urls.begin(), other.urls.end());
-  }
+  void add(telemetry::EventStore::EventRef e);
+  void merge(const MonthlyTally& other);
 };
 
-// Finishes one tally into a table row (verdict percentages are computed
-// here, from order-free integer sums).
-MonthlyRow summarize_tally(const AnnotatedCorpus& a, const MonthlyTally& t,
-                           std::uint64_t events);
+// Finishes a tally into Table I: distinct counts per month and overall,
+// with the verdict percentages applied from `a`'s labels.
+MonthlySummary summarize_tally(const AnnotatedCorpus& a,
+                               const MonthlyTally& t);
 
 MonthlySummary monthly_summary(const AnnotatedCorpus& a);
 

@@ -4,62 +4,43 @@
 
 namespace longtail::analysis {
 
-namespace detail {
-
-void prevalence_fold(PrevalenceAcc& acc, const AnnotatedCorpus& a,
-                     model::FileId f, std::uint32_t prev,
-                     std::uint32_t sigma) {
-  const auto x = static_cast<double>(prev);
-  acc.dists.all.add(x);
-  switch (a.verdict(f)) {
-    case model::Verdict::kBenign: acc.dists.benign.add(x); break;
-    case model::Verdict::kMalicious: acc.dists.malicious.add(x); break;
-    case model::Verdict::kUnknown: acc.dists.unknown.add(x); break;
-    default: break;  // likely-* excluded, as in the paper
-  }
-  ++acc.total;
-  if (prev == 1) ++acc.ones;
-  if (prev >= sigma) ++acc.capped;
+PrevalenceDistributions prevalence_distributions(const AnnotatedCorpus& a,
+                                                 std::uint32_t sigma) {
+  return prevalence_distributions(a, a.index.reach(), sigma);
 }
 
-PrevalenceDistributions prevalence_finish(PrevalenceAcc&& acc) {
-  PrevalenceDistributions out = std::move(acc.dists);
+PrevalenceDistributions prevalence_distributions(
+    const AnnotatedCorpus& a, const telemetry::FileReach& reach,
+    std::uint32_t sigma) {
+  PrevalenceDistributions out;
+  std::uint64_t ones = 0, capped = 0, total = 0;
+  for (std::uint32_t i = 0; i < reach.num_files(); ++i) {
+    const model::FileId f{i};
+    const std::uint32_t prev = reach.prevalence(f);
+    if (prev == 0) continue;  // not observed
+    const auto x = static_cast<double>(prev);
+    out.all.add(x);
+    switch (a.verdict(f)) {
+      case model::Verdict::kBenign: out.benign.add(x); break;
+      case model::Verdict::kMalicious: out.malicious.add(x); break;
+      case model::Verdict::kUnknown: out.unknown.add(x); break;
+      default: break;  // likely-* excluded, as in the paper
+    }
+    ++total;
+    if (prev == 1) ++ones;
+    if (prev >= sigma) ++capped;
+  }
   out.all.finalize();
   out.benign.finalize();
   out.malicious.finalize();
   out.unknown.finalize();
-  if (acc.total > 0) {
+  if (total > 0) {
     out.prevalence_one_fraction =
-        static_cast<double>(acc.ones) / static_cast<double>(acc.total);
+        static_cast<double>(ones) / static_cast<double>(total);
     out.at_cap_fraction =
-        static_cast<double>(acc.capped) / static_cast<double>(acc.total);
+        static_cast<double>(capped) / static_cast<double>(total);
   }
   return out;
-}
-
-}  // namespace detail
-
-PrevalenceDistributions prevalence_distributions(const AnnotatedCorpus& a,
-                                                 std::uint32_t sigma) {
-  using detail::PrevalenceAcc;
-  const auto& observed = a.index.observed_files();
-  PrevalenceAcc acc = telemetry::scan_reduce_indexed(
-      observed.size(), [] { return PrevalenceAcc{}; },
-      [&](PrevalenceAcc& s, std::size_t i) {
-        const auto f = observed[i];
-        detail::prevalence_fold(s, a, f, a.index.prevalence(f), sigma);
-      },
-      [](PrevalenceAcc& total, PrevalenceAcc&& shard) {
-        total.dists.all.merge(std::move(shard.dists.all));
-        total.dists.benign.merge(std::move(shard.dists.benign));
-        total.dists.malicious.merge(std::move(shard.dists.malicious));
-        total.dists.unknown.merge(std::move(shard.dists.unknown));
-        total.ones += shard.ones;
-        total.capped += shard.capped;
-        total.total += shard.total;
-      },
-      "analysis.prevalence_distributions");
-  return detail::prevalence_finish(std::move(acc));
 }
 
 std::array<util::EmpiricalCdf, model::kNumMalwareTypes> prevalence_by_type(

@@ -22,29 +22,20 @@ struct PrevalenceDistributions {
   // Fraction of observed files with prevalence above the sigma cap's
   // ceiling (the paper reports <= 0.25% at, i.e. capped to, 20).
   double at_cap_fraction = 0;
+
+  friend bool operator==(const PrevalenceDistributions&,
+                         const PrevalenceDistributions&) = default;
 };
 
 PrevalenceDistributions prevalence_distributions(const AnnotatedCorpus& a,
                                                  std::uint32_t sigma = 20);
 
-namespace detail {
-
-// Shared per-file fold and finisher of the Fig. 2 computation, used by
-// both the batch scan above and the streaming snapshot
-// (analysis/streaming.hpp) so the two paths cannot drift. `prev` is the
-// file's distinct-machine prevalence; the fold is order-free (CDF samples
-// are sorted by finalize, the rest are sums).
-struct PrevalenceAcc {
-  PrevalenceDistributions dists;
-  std::uint64_t ones = 0, capped = 0, total = 0;
-};
-
-void prevalence_fold(PrevalenceAcc& acc, const AnnotatedCorpus& a,
-                     model::FileId f, std::uint32_t prev,
-                     std::uint32_t sigma);
-PrevalenceDistributions prevalence_finish(PrevalenceAcc&& acc);
-
-}  // namespace detail
+// The finisher behind the batch call above (which passes
+// `a.index.reach()`) and the streaming snapshot (analysis/streaming.hpp):
+// folds every file `reach` has seen, under `a`'s labels.
+PrevalenceDistributions prevalence_distributions(
+    const AnnotatedCorpus& a, const telemetry::FileReach& reach,
+    std::uint32_t sigma = 20);
 
 // §IV-A: "we also explored the distribution of different malware types and
 // found that they are very similar to each other." One CDF per behaviour

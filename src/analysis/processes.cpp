@@ -14,67 +14,6 @@ namespace {
 using model::ProcessCategory;
 using model::Verdict;
 
-struct RowAccumulator {
-  std::unordered_set<std::uint32_t> processes, machines, infected;
-  std::unordered_set<std::uint32_t> unknown_files, benign_files,
-      malicious_files;
-  std::array<std::uint64_t, model::kNumMalwareTypes> type_file_counts{};
-  std::unordered_set<std::uint32_t> counted_malicious;
-
-  void add(const AnnotatedCorpus& a,
-           const telemetry::EventStore::EventRef& e) {
-    processes.insert(e.process().raw());
-    machines.insert(e.machine().raw());
-    switch (a.verdict(e.file())) {
-      case Verdict::kUnknown:
-        unknown_files.insert(e.file().raw());
-        break;
-      case Verdict::kBenign:
-        benign_files.insert(e.file().raw());
-        break;
-      case Verdict::kMalicious:
-        malicious_files.insert(e.file().raw());
-        infected.insert(e.machine().raw());
-        if (counted_malicious.insert(e.file().raw()).second)
-          ++type_file_counts[static_cast<std::size_t>(a.type_of(e.file()))];
-        break;
-      default:
-        break;
-    }
-  }
-
-  // Absorb another shard's accumulator. The per-type file counts are
-  // replayed through `counted_malicious` insertions so each malicious file
-  // is counted exactly once globally, matching the serial pass.
-  void merge(const AnnotatedCorpus& a, RowAccumulator&& o) {
-    processes.merge(o.processes);
-    machines.merge(o.machines);
-    infected.merge(o.infected);
-    unknown_files.merge(o.unknown_files);
-    benign_files.merge(o.benign_files);
-    malicious_files.merge(o.malicious_files);
-    for (const auto f : o.counted_malicious)
-      if (counted_malicious.insert(f).second)
-        ++type_file_counts[static_cast<std::size_t>(
-            a.type_of(model::FileId{f}))];
-  }
-
-  [[nodiscard]] ProcessBehaviorRow finish() const {
-    ProcessBehaviorRow row;
-    row.processes = processes.size();
-    row.machines = machines.size();
-    row.unknown_files = unknown_files.size();
-    row.benign_files = benign_files.size();
-    row.malicious_files = malicious_files.size();
-    row.infected_machines_pct = util::percent(infected.size(), machines.size());
-    std::uint64_t mal_total = 0;
-    for (const auto c : type_file_counts) mal_total += c;
-    for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t)
-      row.type_pct[t] = util::percent(type_file_counts[t], mal_total);
-    return row;
-  }
-};
-
 template <std::size_t N>
 void merge_rows(const AnnotatedCorpus& a, std::array<RowAccumulator, N>& total,
                 std::array<RowAccumulator, N>&& shard) {
@@ -83,6 +22,56 @@ void merge_rows(const AnnotatedCorpus& a, std::array<RowAccumulator, N>& total,
 }
 
 }  // namespace
+
+void RowAccumulator::add(const AnnotatedCorpus& a,
+                         const telemetry::EventStore::EventRef& e) {
+  processes.insert(e.process().raw());
+  machines.insert(e.machine().raw());
+  switch (a.verdict(e.file())) {
+    case Verdict::kUnknown:
+      unknown_files.insert(e.file().raw());
+      break;
+    case Verdict::kBenign:
+      benign_files.insert(e.file().raw());
+      break;
+    case Verdict::kMalicious:
+      malicious_files.insert(e.file().raw());
+      infected.insert(e.machine().raw());
+      if (counted_malicious.insert(e.file().raw()).second)
+        ++type_file_counts[static_cast<std::size_t>(a.type_of(e.file()))];
+      break;
+    default:
+      break;
+  }
+}
+
+void RowAccumulator::merge(const AnnotatedCorpus& a, RowAccumulator&& o) {
+  processes.merge(o.processes);
+  machines.merge(o.machines);
+  infected.merge(o.infected);
+  unknown_files.merge(o.unknown_files);
+  benign_files.merge(o.benign_files);
+  malicious_files.merge(o.malicious_files);
+  for (const auto f : o.counted_malicious)
+    if (counted_malicious.insert(f).second)
+      ++type_file_counts[static_cast<std::size_t>(
+          a.type_of(model::FileId{f}))];
+}
+
+ProcessBehaviorRow RowAccumulator::finish() const {
+  ProcessBehaviorRow row;
+  row.processes = processes.size();
+  row.machines = machines.size();
+  row.unknown_files = unknown_files.size();
+  row.benign_files = benign_files.size();
+  row.malicious_files = malicious_files.size();
+  row.infected_machines_pct = util::percent(infected.size(), machines.size());
+  std::uint64_t mal_total = 0;
+  for (const auto c : type_file_counts) mal_total += c;
+  for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t)
+    row.type_pct[t] = util::percent(type_file_counts[t], mal_total);
+  return row;
+}
 
 std::array<ProcessBehaviorRow, model::kNumProcessCategories>
 benign_process_behavior(const AnnotatedCorpus& a) {

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <unordered_set>
 
 #include "analysis/annotated.hpp"
 
@@ -20,6 +21,24 @@ struct ProcessBehaviorRow {
   std::uint64_t malicious_files = 0;
   double infected_machines_pct = 0;  // machines with >= 1 malicious download
   std::array<double, model::kNumMalwareTypes> type_pct{};  // of malicious
+};
+
+// The accumulator behind one row of Tables X, XI and XII: folds the
+// download events of the row's processes, merges scan shards, and
+// finishes into a ProcessBehaviorRow.
+struct RowAccumulator {
+  std::unordered_set<std::uint32_t> processes, machines, infected;
+  std::unordered_set<std::uint32_t> unknown_files, benign_files,
+      malicious_files;
+  std::array<std::uint64_t, model::kNumMalwareTypes> type_file_counts{};
+  std::unordered_set<std::uint32_t> counted_malicious;
+
+  void add(const AnnotatedCorpus& a, const telemetry::EventStore::EventRef& e);
+  // Absorb another shard's accumulator. The per-type file counts are
+  // replayed through `counted_malicious` insertions so each malicious file
+  // is counted exactly once globally, matching the serial pass.
+  void merge(const AnnotatedCorpus& a, RowAccumulator&& o);
+  [[nodiscard]] ProcessBehaviorRow finish() const;
 };
 
 // Table X. Only events whose process is labeled benign are counted, as in

@@ -10,25 +10,7 @@ namespace longtail::analysis {
 
 namespace {
 
-using model::ProcessCategory;
 using model::Verdict;
-
-// Files with at least one browser-initiated download event.
-std::vector<bool> browser_downloaded(const AnnotatedCorpus& a) {
-  return telemetry::scan_reduce(
-      *a.corpus,
-      [&] { return std::vector<bool>(a.corpus->files.size(), false); },
-      [&](std::vector<bool>& acc, const auto& e) {
-        if (a.corpus->processes[e.process().raw()].category ==
-            ProcessCategory::kBrowser)
-          acc[e.file().raw()] = true;
-      },
-      [](std::vector<bool>& total, std::vector<bool>&& shard) {
-        for (std::size_t f = 0; f < shard.size(); ++f)
-          if (shard[f]) total[f] = true;
-      },
-      "analysis.browser_downloaded");
-}
 
 void accumulate(SignedRateRow& row, bool is_signed, bool via_browser,
                 std::uint64_t& signed_total, std::uint64_t& browser_signed) {
@@ -42,84 +24,56 @@ void accumulate(SignedRateRow& row, bool is_signed, bool via_browser,
 
 }  // namespace
 
-namespace detail {
-
-void signing_fold(SigningAcc& s, const AnnotatedCorpus& a, model::FileId f,
-                  bool via_browser) {
-  const auto& meta = a.corpus->files[f.raw()];
-  switch (a.verdict(f)) {
-    case Verdict::kBenign:
-      accumulate(s.rates.benign, meta.is_signed, via_browser, s.b_signed,
-                 s.b_browser_signed);
-      break;
-    case Verdict::kUnknown:
-      accumulate(s.rates.unknown, meta.is_signed, via_browser, s.u_signed,
-                 s.u_browser_signed);
-      break;
-    case Verdict::kMalicious: {
-      const auto t = static_cast<std::size_t>(a.type_of(f));
-      accumulate(s.rates.per_type[t], meta.is_signed, via_browser,
-                 s.type_signed[t], s.type_browser_signed[t]);
-      accumulate(s.rates.malicious, meta.is_signed, via_browser, s.m_signed,
-                 s.m_browser_signed);
-      break;
-    }
-    default:
-      break;
-  }
+SigningRates signing_rates(const AnnotatedCorpus& a) {
+  return signing_rates(a, a.index.reach());
 }
 
-SigningRates signing_finish(SigningAcc&& acc) {
-  SigningRates out = std::move(acc.rates);
+SigningRates signing_rates(const AnnotatedCorpus& a,
+                           const telemetry::FileReach& reach) {
+  SigningRates out;
+  std::array<std::uint64_t, model::kNumMalwareTypes> type_signed{},
+      type_browser_signed{};
+  std::uint64_t b_signed = 0, b_browser_signed = 0;
+  std::uint64_t u_signed = 0, u_browser_signed = 0;
+  std::uint64_t m_signed = 0, m_browser_signed = 0;
+  for (std::uint32_t i = 0; i < reach.num_files(); ++i) {
+    const model::FileId f{i};
+    if (reach.prevalence(f) == 0) continue;  // not observed
+    const bool is_signed = a.corpus->files[i].is_signed;
+    const bool via_browser = reach.via_browser(f);
+    switch (a.verdict(f)) {
+      case Verdict::kBenign:
+        accumulate(out.benign, is_signed, via_browser, b_signed,
+                   b_browser_signed);
+        break;
+      case Verdict::kUnknown:
+        accumulate(out.unknown, is_signed, via_browser, u_signed,
+                   u_browser_signed);
+        break;
+      case Verdict::kMalicious: {
+        const auto t = static_cast<std::size_t>(a.type_of(f));
+        accumulate(out.per_type[t], is_signed, via_browser, type_signed[t],
+                   type_browser_signed[t]);
+        accumulate(out.malicious, is_signed, via_browser, m_signed,
+                   m_browser_signed);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
   auto finish = [](SignedRateRow& row, std::uint64_t signed_total,
                    std::uint64_t browser_signed) {
     row.signed_pct = util::percent(signed_total, row.files);
     row.browser_signed_pct = util::percent(browser_signed, row.browser_files);
   };
   for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t)
-    finish(out.per_type[t], acc.type_signed[t], acc.type_browser_signed[t]);
-  finish(out.benign, acc.b_signed, acc.b_browser_signed);
-  finish(out.unknown, acc.u_signed, acc.u_browser_signed);
-  finish(out.malicious, acc.m_signed, acc.m_browser_signed);
+    finish(out.per_type[t], type_signed[t], type_browser_signed[t]);
+  finish(out.benign, b_signed, b_browser_signed);
+  finish(out.unknown, u_signed, u_browser_signed);
+  finish(out.malicious, m_signed, m_browser_signed);
   return out;
-}
-
-}  // namespace detail
-
-SigningRates signing_rates(const AnnotatedCorpus& a) {
-  using detail::SigningAcc;
-  const auto via_browser = browser_downloaded(a);
-
-  const auto& observed = a.index.observed_files();
-  SigningAcc acc = telemetry::scan_reduce_indexed(
-      observed.size(), [] { return SigningAcc{}; },
-      [&](SigningAcc& s, std::size_t i) {
-        const auto f = observed[i];
-        detail::signing_fold(s, a, f, via_browser[f.raw()]);
-      },
-      [](SigningAcc& total, SigningAcc&& shard) {
-        auto add_row = [](SignedRateRow& row, const SignedRateRow& o) {
-          row.files += o.files;
-          row.browser_files += o.browser_files;
-        };
-        for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t) {
-          add_row(total.rates.per_type[t], shard.rates.per_type[t]);
-          total.type_signed[t] += shard.type_signed[t];
-          total.type_browser_signed[t] += shard.type_browser_signed[t];
-        }
-        add_row(total.rates.benign, shard.rates.benign);
-        add_row(total.rates.unknown, shard.rates.unknown);
-        add_row(total.rates.malicious, shard.rates.malicious);
-        total.b_signed += shard.b_signed;
-        total.b_browser_signed += shard.b_browser_signed;
-        total.u_signed += shard.u_signed;
-        total.u_browser_signed += shard.u_browser_signed;
-        total.m_signed += shard.m_signed;
-        total.m_browser_signed += shard.m_browser_signed;
-      },
-      "analysis.signing_rates");
-
-  return detail::signing_finish(std::move(acc));
 }
 
 namespace {

@@ -22,35 +22,25 @@ struct SignedRateRow {
   double signed_pct = 0;
   std::uint64_t browser_files = 0;
   double browser_signed_pct = 0;
+
+  friend bool operator==(const SignedRateRow&, const SignedRateRow&) = default;
 };
 
 struct SigningRates {
   std::array<SignedRateRow, model::kNumMalwareTypes> per_type{};
   SignedRateRow benign, unknown, malicious;
+
+  friend bool operator==(const SigningRates&, const SigningRates&) = default;
 };
 
 SigningRates signing_rates(const AnnotatedCorpus& a);
 
-namespace detail {
-
-// Shared per-file fold and finisher of the Table VI computation, used by
-// the batch scan and the streaming snapshot (analysis/streaming.hpp) so
-// the two paths cannot drift. Every field is an order-free integer sum;
-// the percentages are computed once, in the finisher.
-struct SigningAcc {
-  SigningRates rates;
-  std::array<std::uint64_t, model::kNumMalwareTypes> type_signed{},
-      type_browser_signed{};
-  std::uint64_t b_signed = 0, b_browser_signed = 0;
-  std::uint64_t u_signed = 0, u_browser_signed = 0;
-  std::uint64_t m_signed = 0, m_browser_signed = 0;
-};
-
-void signing_fold(SigningAcc& acc, const AnnotatedCorpus& a, model::FileId f,
-                  bool via_browser);
-SigningRates signing_finish(SigningAcc&& acc);
-
-}  // namespace detail
+// The finisher behind the batch call above (which passes
+// `a.index.reach()`) and the streaming snapshot (analysis/streaming.hpp):
+// every file `reach` has seen, under `a`'s labels, with the via-browser
+// column taken from `reach`.
+SigningRates signing_rates(const AnnotatedCorpus& a,
+                           const telemetry::FileReach& reach);
 
 struct SignerOverlapRow {
   std::uint64_t signers = 0;            // distinct signers for this type

@@ -1,38 +1,25 @@
 #include "analysis/streaming.hpp"
 
-#include <algorithm>
-#include <unordered_set>
-
 namespace longtail::analysis {
 
+namespace {
+
+template <typename Acc>
+void add_event(Acc& acc, telemetry::EventStore::EventRef e) {
+  acc.add(e);
+}
+
+}  // namespace
+
 StreamingAnalytics::StreamingAnalytics(const telemetry::Corpus& corpus)
-    : monthly_(MonthlyState{}, &StreamingAnalytics::fold_monthly,
+    : monthly_(MonthlyTally(corpus), &add_event<MonthlyTally>,
                "analysis.stream_monthly"),
-      files_(FileStates{&corpus,
-                        std::vector<FileState>(corpus.files.size())},
-             &StreamingAnalytics::fold_files, "analysis.stream_files") {}
-
-void StreamingAnalytics::fold_monthly(MonthlyState& s,
-                                      telemetry::EventStore::EventRef e) {
-  const auto m = static_cast<std::size_t>(model::month_of(e.time()));
-  s.tallies[m].add(e);
-  ++s.events[m];
-}
-
-void StreamingAnalytics::fold_files(FileStates& s,
-                                    telemetry::EventStore::EventRef e) {
-  FileState& f = s.files[e.file().raw()];
-  const std::uint32_t m = e.machine().raw();
-  const auto it = std::lower_bound(f.machines.begin(), f.machines.end(), m);
-  if (it == f.machines.end() || *it != m) f.machines.insert(it, m);
-  if (s.corpus->processes[e.process().raw()].category ==
-      model::ProcessCategory::kBrowser)
-    f.via_browser = true;
-}
+      reach_(telemetry::FileReach(corpus), &add_event<telemetry::FileReach>,
+             "analysis.stream_files") {}
 
 void StreamingAnalytics::absorb(const telemetry::EventWindow& w) {
   monthly_.absorb(w.events);
-  files_.absorb(w.events);
+  reach_.absorb(w.events);
   ++windows_;
 }
 
@@ -43,64 +30,20 @@ std::uint64_t StreamingAnalytics::events_absorbed() const noexcept {
 }
 
 MonthlySummary StreamingAnalytics::monthly(const AnnotatedCorpus& a) const {
-  const MonthlyState& s = monthly_.state();
-  MonthlySummary out;
-  MonthlyTally overall;
-  for (std::size_t m = 0; m < model::kNumCollectionMonths; ++m) {
-    overall.absorb(s.tallies[m]);
-    out.months[m] = summarize_tally(a, s.tallies[m], s.events[m]);
-  }
-  // Include any spill past July in the overall row, as the batch path
-  // does.
-  overall.absorb(
-      s.tallies[static_cast<std::size_t>(model::Month::kAugust)]);
-  out.overall = summarize_tally(a, overall, events_absorbed());
-  return out;
+  return summarize_tally(a, monthly_.state());
 }
 
 PrevalenceDistributions StreamingAnalytics::prevalence(
     const AnnotatedCorpus& a, std::uint32_t sigma) const {
-  detail::PrevalenceAcc acc;
-  const auto& files = files_.state().files;
-  for (std::size_t f = 0; f < files.size(); ++f) {
-    if (files[f].machines.empty()) continue;  // not observed yet
-    detail::prevalence_fold(
-        acc, a, model::FileId(static_cast<std::uint32_t>(f)),
-        static_cast<std::uint32_t>(files[f].machines.size()), sigma);
-  }
-  return detail::prevalence_finish(std::move(acc));
+  return prevalence_distributions(a, reach_.state(), sigma);
 }
 
 SigningRates StreamingAnalytics::signing(const AnnotatedCorpus& a) const {
-  detail::SigningAcc acc;
-  const auto& files = files_.state().files;
-  for (std::size_t f = 0; f < files.size(); ++f) {
-    if (files[f].machines.empty()) continue;
-    detail::signing_fold(acc, a,
-                         model::FileId(static_cast<std::uint32_t>(f)),
-                         files[f].via_browser);
-  }
-  return detail::signing_finish(std::move(acc));
+  return signing_rates(a, reach_.state());
 }
 
 MachineCoverage StreamingAnalytics::coverage(const AnnotatedCorpus& a) const {
-  std::array<std::unordered_set<std::uint32_t>, model::kNumVerdicts> sets;
-  std::unordered_set<std::uint32_t> active;
-  const auto& files = files_.state().files;
-  for (std::size_t f = 0; f < files.size(); ++f) {
-    if (files[f].machines.empty()) continue;
-    auto& set = sets[static_cast<std::size_t>(
-        a.verdict(model::FileId(static_cast<std::uint32_t>(f))))];
-    for (const auto m : files[f].machines) {
-      set.insert(m);
-      active.insert(m);
-    }
-  }
-  MachineCoverage out;
-  out.active_machines = active.size();
-  for (std::size_t v = 0; v < model::kNumVerdicts; ++v)
-    out.machines[v] = sets[v].size();
-  return out;
+  return machine_coverage(a, reach_.state());
 }
 
 }  // namespace longtail::analysis

@@ -4,29 +4,28 @@
 // `telemetry::StreamingCollectionServer` and can produce, at any window
 // boundary, the same reports the batch analyses compute with a
 // full-corpus repass: the Table I monthly summary, the Fig. 2 prevalence
-// distributions, the Table VI signing rates, and machine coverage. Each
-// snapshot is bit-identical to its batch counterpart applied to the
-// events absorbed so far — the folds go through the same shared
-// per-entity fold/finisher functions (analysis/monthly.hpp,
-// analysis/prevalence.hpp, analysis/signers.hpp), and every accumulator
-// is order-free (distinct sets, integer sums, CDFs sorted at finalize),
-// so window width and chunking cannot affect the result.
+// distributions, the Table VI signing rates, and machine coverage. It
+// folds the same label-free accumulators as the batch functions — a
+// `MonthlyTally` (analysis/monthly.hpp) and a `telemetry::FileReach`
+// (telemetry/index.hpp) — and each snapshot runs the same finisher as the
+// batch call, so a snapshot is bit-identical to the batch analysis of the
+// events absorbed so far. Both accumulators depend only on the set of
+// events added, so window width and chunking cannot affect the result.
 //
 // Per-file state is bounded: accepted events only carry machines admitted
-// below the collection cap sigma, so the distinct-machine vector per file
+// below the collection cap sigma, so the distinct-machine list per file
 // holds at most sigma entries (telemetry::PrevalenceTracker enforces the
 // same bound upstream).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "analysis/annotated.hpp"
 #include "analysis/coverage.hpp"
 #include "analysis/monthly.hpp"
 #include "analysis/prevalence.hpp"
 #include "analysis/signers.hpp"
+#include "telemetry/index.hpp"
 #include "telemetry/scan.hpp"
 #include "telemetry/streaming.hpp"
 
@@ -34,8 +33,8 @@ namespace longtail::analysis {
 
 class StreamingAnalytics {
  public:
-  // `corpus` provides the entity tables (process categories, file count);
-  // its event table is NOT read — events arrive through absorb().
+  // `corpus` provides the entity tables (sizes, process categories); its
+  // event table is NOT read — events arrive through absorb().
   explicit StreamingAnalytics(const telemetry::Corpus& corpus);
 
   // Folds one closed window of accepted events into the running state.
@@ -56,29 +55,13 @@ class StreamingAnalytics {
   }
 
  private:
-  struct MonthlyState {
-    std::array<MonthlyTally, model::kNumCalendarMonths> tallies{};
-    std::array<std::uint64_t, model::kNumCalendarMonths> events{};
-  };
-  struct FileState {
-    std::vector<std::uint32_t> machines;  // sorted distinct; <= sigma
-    bool via_browser = false;
-  };
-  struct FileStates {
-    const telemetry::Corpus* corpus = nullptr;
-    std::vector<FileState> files;
-  };
+  template <typename Acc>
+  using Fold = void (*)(Acc&, telemetry::EventStore::EventRef);
+  template <typename Acc>
+  using Reducer = telemetry::IncrementalReducer<Acc, Fold<Acc>>;
 
-  static void fold_monthly(MonthlyState& s,
-                           telemetry::EventStore::EventRef e);
-  static void fold_files(FileStates& s, telemetry::EventStore::EventRef e);
-
-  using MonthlyFold = void (*)(MonthlyState&,
-                               telemetry::EventStore::EventRef);
-  using FilesFold = void (*)(FileStates&, telemetry::EventStore::EventRef);
-
-  telemetry::IncrementalReducer<MonthlyState, MonthlyFold> monthly_;
-  telemetry::IncrementalReducer<FileStates, FilesFold> files_;
+  Reducer<MonthlyTally> monthly_;
+  Reducer<telemetry::FileReach> reach_;
   std::size_t windows_ = 0;
 };
 

@@ -3,11 +3,24 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <unordered_map>
 
 namespace longtail::telemetry {
 
-CorpusIndex::CorpusIndex(const Corpus& corpus) : corpus_(&corpus) {
+FileReach::FileReach(const Corpus& corpus)
+    : corpus_(&corpus), files_(corpus.files.size()) {}
+
+void FileReach::add(EventStore::EventRef e) {
+  File& f = files_[e.file().raw()];
+  const model::MachineId m = e.machine();
+  const auto it = std::lower_bound(f.machines.begin(), f.machines.end(), m);
+  if (it == f.machines.end() || *it != m) f.machines.insert(it, m);
+  if (corpus_->processes[e.process().raw()].category ==
+      model::ProcessCategory::kBrowser)
+    f.via_browser = true;
+}
+
+CorpusIndex::CorpusIndex(const Corpus& corpus)
+    : corpus_(&corpus), reach_(corpus) {
   // The index walks the raw columns directly: one pass touches only the
   // columns it needs (times for month offsets, machines for the counting
   // sort), which is the point of the SoA layout.
@@ -18,34 +31,22 @@ CorpusIndex::CorpusIndex(const Corpus& corpus) : corpus_(&corpus) {
   assert(std::is_sorted(times.begin(), times.end()));
 
   const std::size_t nf = corpus.files.size();
-  prevalence_.assign(nf, 0);
   first_seen_.assign(nf, std::numeric_limits<model::Timestamp>::max());
   last_seen_.assign(nf, std::numeric_limits<model::Timestamp>::min());
-
-  // Distinct machines per file. Prevalence is capped upstream at sigma, so
-  // these sets stay tiny.
-  std::unordered_map<model::FileId, std::unordered_set<model::MachineId>>
-      file_machines;
-  file_machines.reserve(nf);
 
   std::vector<std::uint32_t> machine_counts(corpus.machine_count + 1, 0);
 
   for (std::size_t i = 0; i < n; ++i) {
-    const model::FileId f = files[i];
-    file_machines[f].insert(machines[i]);
-    auto& fs = first_seen_[f.raw()];
-    fs = std::min(fs, times[i]);
-    auto& ls = last_seen_[f.raw()];
-    ls = std::max(ls, times[i]);
+    reach_.add(corpus.events[i]);
+    const auto f = files[i].raw();
+    first_seen_[f] = std::min(first_seen_[f], times[i]);
+    last_seen_[f] = std::max(last_seen_[f], times[i]);
     ++machine_counts[machines[i].raw()];
   }
 
-  observed_files_.reserve(file_machines.size());
-  for (const auto& [f, ms] : file_machines) {
-    prevalence_[f.raw()] = static_cast<std::uint32_t>(ms.size());
-    observed_files_.push_back(f);
-  }
-  std::sort(observed_files_.begin(), observed_files_.end());
+  for (std::uint32_t f = 0; f < nf; ++f)
+    if (reach_.prevalence(model::FileId{f}) > 0)
+      observed_files_.push_back(model::FileId{f});
 
   // Per-machine event lists via counting sort: offsets then fill.
   machine_offsets_.assign(corpus.machine_count + 1, 0);

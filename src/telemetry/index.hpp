@@ -1,11 +1,10 @@
 // Derived indexes over a Corpus. Built once, queried by every analysis
-// module: per-file prevalence and first/last-seen, per-machine event
-// timelines, per-domain machine/file sets, and per-month slices.
+// module: per-file reach (distinct machines, prevalence) and
+// first/last-seen, per-machine event timelines, and per-month slices.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "model/event.hpp"
@@ -14,15 +13,56 @@
 
 namespace longtail::telemetry {
 
+// Per-file download reach: the distinct machines that downloaded each
+// file, kept sorted, and whether any of its downloads came through a
+// browser. This is the label-free state behind Fig. 2 (prevalence), the
+// via-browser column of Table VI and §IV-A machine coverage. CorpusIndex
+// builds one over the whole corpus; the streaming analytics grow one
+// window by window. The state depends only on the set of events added,
+// never on their order. On collected corpora a machine list holds at most
+// sigma entries (the collection cap).
+class FileReach {
+ public:
+  // Sized for `corpus`'s file table; add() reads its process categories,
+  // so `corpus` must outlive the reach.
+  explicit FileReach(const Corpus& corpus);
+
+  void add(EventStore::EventRef e);
+
+  [[nodiscard]] std::size_t num_files() const noexcept {
+    return files_.size();
+  }
+  [[nodiscard]] std::span<const model::MachineId> machines(
+      model::FileId f) const {
+    return files_[f.raw()].machines;
+  }
+  // Number of distinct machines; 0 for a file with no events.
+  [[nodiscard]] std::uint32_t prevalence(model::FileId f) const {
+    return static_cast<std::uint32_t>(files_[f.raw()].machines.size());
+  }
+  [[nodiscard]] bool via_browser(model::FileId f) const {
+    return files_[f.raw()].via_browser;
+  }
+
+ private:
+  struct File {
+    std::vector<model::MachineId> machines;  // sorted, distinct
+    bool via_browser = false;
+  };
+  const Corpus* corpus_;
+  std::vector<File> files_;
+};
+
 class CorpusIndex {
  public:
   explicit CorpusIndex(const Corpus& corpus);
 
   // --- files ---------------------------------------------------------
+  [[nodiscard]] const FileReach& reach() const noexcept { return reach_; }
   // Prevalence = number of distinct machines that downloaded the file
   // across all accepted events (capped at sigma upstream).
   [[nodiscard]] std::uint32_t prevalence(model::FileId f) const {
-    return prevalence_[f.raw()];
+    return reach_.prevalence(f);
   }
   [[nodiscard]] model::Timestamp first_seen(model::FileId f) const {
     return first_seen_[f.raw()];
@@ -30,7 +70,7 @@ class CorpusIndex {
   [[nodiscard]] model::Timestamp last_seen(model::FileId f) const {
     return last_seen_[f.raw()];
   }
-  // Files with at least one event.
+  // Files with at least one event, ascending.
   [[nodiscard]] const std::vector<model::FileId>& observed_files() const {
     return observed_files_;
   }
@@ -60,7 +100,7 @@ class CorpusIndex {
 
  private:
   const Corpus* corpus_;
-  std::vector<std::uint32_t> prevalence_;
+  FileReach reach_;
   std::vector<model::Timestamp> first_seen_;
   std::vector<model::Timestamp> last_seen_;
   std::vector<model::FileId> observed_files_;

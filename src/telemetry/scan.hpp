@@ -112,8 +112,7 @@ auto scan_reduce(const Corpus& corpus, MakeAcc make_acc, Fn fn,
 // boundary. The fold sees events in exactly the order the batch scan
 // does (windows partition the time-sorted stream), so any accumulator
 // whose batch combine is order-preserving yields bit-identical snapshots.
-// `snapshot()` returns a copy of the running state; callers finish it
-// into a report exactly as the batch path finishes its scan result.
+// Callers finish `state()` into a report with the batch path's finisher.
 template <typename Acc, typename Fn>
 class IncrementalReducer {
  public:
@@ -129,8 +128,6 @@ class IncrementalReducer {
   }
 
   [[nodiscard]] const Acc& state() const noexcept { return acc_; }
-  [[nodiscard]] Acc& state() noexcept { return acc_; }
-  [[nodiscard]] Acc snapshot() const { return acc_; }
 
  private:
   Acc acc_;

@@ -53,6 +53,9 @@ class EmpiricalCdf {
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
   [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
 
+  // Equal when both hold the same samples (compare finalized CDFs).
+  friend bool operator==(const EmpiricalCdf&, const EmpiricalCdf&) = default;
+
   // Series of (x, cdf(x)) at the given x grid — convenient for printing
   // figure reproductions.
   [[nodiscard]] std::vector<std::pair<double, double>> series(

@@ -86,6 +86,38 @@ void expect_same_cdf(const util::EmpiricalCdf& s, const util::EmpiricalCdf& b) {
     EXPECT_EQ(s.quantile(q), b.quantile(q)) << "quantile " << q;
 }
 
+void expect_same_summary(const MonthlySummary& s, const MonthlySummary& b) {
+  expect_same_row(s.overall, b.overall);
+  for (std::size_t m = 0; m < model::kNumCollectionMonths; ++m) {
+    SCOPED_TRACE(testing::Message() << "month " << m);
+    expect_same_row(s.months[m], b.months[m]);
+  }
+}
+
+void expect_same_prevalence(const PrevalenceDistributions& s,
+                            const PrevalenceDistributions& b) {
+  expect_same_cdf(s.all, b.all);
+  expect_same_cdf(s.benign, b.benign);
+  expect_same_cdf(s.malicious, b.malicious);
+  expect_same_cdf(s.unknown, b.unknown);
+  EXPECT_EQ(s.prevalence_one_fraction, b.prevalence_one_fraction);
+  EXPECT_EQ(s.at_cap_fraction, b.at_cap_fraction);
+}
+
+void expect_same_signing(const SigningRates& s, const SigningRates& b) {
+  expect_same_signing_row(s.benign, b.benign);
+  expect_same_signing_row(s.unknown, b.unknown);
+  expect_same_signing_row(s.malicious, b.malicious);
+  for (std::size_t t = 0; t < s.per_type.size(); ++t)
+    expect_same_signing_row(s.per_type[t], b.per_type[t]);
+}
+
+void expect_same_coverage(const MachineCoverage& s, const MachineCoverage& b) {
+  EXPECT_EQ(s.active_machines, b.active_machines);
+  for (std::size_t v = 0; v < s.machines.size(); ++v)
+    EXPECT_EQ(s.machines[v], b.machines[v]);
+}
+
 TEST(StreamingAnalytics, SnapshotsAreBitIdenticalToBatchAtEveryWidth) {
   const auto& p = pipeline();
   const auto& a = p.annotated();
@@ -109,31 +141,10 @@ TEST(StreamingAnalytics, SnapshotsAreBitIdenticalToBatchAtEveryWidth) {
     EXPECT_EQ(analytics.events_absorbed(), corpus.events.size());
     EXPECT_EQ(analytics.windows_absorbed(), windows.size());
 
-    const auto monthly = analytics.monthly(a);
-    expect_same_row(monthly.overall, batch_monthly.overall);
-    for (std::size_t m = 0; m < model::kNumCollectionMonths; ++m)
-      expect_same_row(monthly.months[m], batch_monthly.months[m]);
-
-    const auto prevalence = analytics.prevalence(a);
-    expect_same_cdf(prevalence.all, batch_prevalence.all);
-    expect_same_cdf(prevalence.benign, batch_prevalence.benign);
-    expect_same_cdf(prevalence.malicious, batch_prevalence.malicious);
-    expect_same_cdf(prevalence.unknown, batch_prevalence.unknown);
-    EXPECT_EQ(prevalence.prevalence_one_fraction,
-              batch_prevalence.prevalence_one_fraction);
-    EXPECT_EQ(prevalence.at_cap_fraction, batch_prevalence.at_cap_fraction);
-
-    const auto signing = analytics.signing(a);
-    expect_same_signing_row(signing.benign, batch_signing.benign);
-    expect_same_signing_row(signing.unknown, batch_signing.unknown);
-    expect_same_signing_row(signing.malicious, batch_signing.malicious);
-    for (std::size_t t = 0; t < signing.per_type.size(); ++t)
-      expect_same_signing_row(signing.per_type[t], batch_signing.per_type[t]);
-
-    const auto coverage = analytics.coverage(a);
-    EXPECT_EQ(coverage.active_machines, batch_coverage.active_machines);
-    for (std::size_t v = 0; v < coverage.machines.size(); ++v)
-      EXPECT_EQ(coverage.machines[v], batch_coverage.machines[v]);
+    expect_same_summary(analytics.monthly(a), batch_monthly);
+    expect_same_prevalence(analytics.prevalence(a), batch_prevalence);
+    expect_same_signing(analytics.signing(a), batch_signing);
+    expect_same_coverage(analytics.coverage(a), batch_coverage);
   }
 }
 
@@ -168,11 +179,58 @@ TEST(StreamingAnalytics, MidStreamSnapshotMatchesBatchOnPrefix) {
   pa.process_types = a.process_types;
   pa.url_verdicts = a.url_verdicts;
 
-  const auto monthly = analytics.monthly(pa);
-  const auto batch_monthly = monthly_summary(pa);
-  expect_same_row(monthly.overall, batch_monthly.overall);
-  for (std::size_t m = 0; m < model::kNumCollectionMonths; ++m)
-    expect_same_row(monthly.months[m], batch_monthly.months[m]);
+  expect_same_summary(analytics.monthly(pa), monthly_summary(pa));
+  expect_same_prevalence(analytics.prevalence(pa),
+                         prevalence_distributions(pa));
+  expect_same_signing(analytics.signing(pa), signing_rates(pa));
+  expect_same_coverage(analytics.coverage(pa), machine_coverage(pa));
+}
+
+TEST(StreamingAnalytics, EventsPastAugustCountInBothOverallRows) {
+  // A hand-built corpus with an event on every month start and one past
+  // the end of the period (Sep 1 + 10 s) from a machine and a file seen
+  // nowhere else. Both paths clamp that event into August, so it reaches
+  // the overall row of the batch summary and of the snapshot alike.
+  telemetry::Corpus corpus;
+  corpus.machine_count = 3;
+  corpus.files.resize(3);
+  corpus.processes.resize(1);
+  corpus.processes[0].category = model::ProcessCategory::kBrowser;
+  corpus.domains.resize(1);
+  corpus.domain_names.intern("hosting.com");
+  corpus.urls.push_back({model::DomainId{0}, 0});
+  auto ev = [](std::uint32_t f, std::uint32_t m, model::Timestamp t) {
+    return model::DownloadEvent{model::FileId{f}, model::MachineId{m},
+                                model::ProcessId{0}, model::UrlId{0}, t};
+  };
+  for (std::uint32_t m = 0; m < model::kNumCalendarMonths; ++m)
+    corpus.events.push_back(ev(m % 2, 0, model::kMonthStart[m]));
+  const model::Timestamp after_period =
+      model::kMonthStart[model::kNumCalendarMonths] + 10;
+  corpus.events.push_back(ev(2, 1, after_period));
+
+  groundtruth::Whitelist whitelist;
+  whitelist.add(model::FileId{0});
+  const AnnotatedCorpus a =
+      annotate(corpus, whitelist, groundtruth::VtDatabase{});
+
+  // One window per event.
+  StreamingAnalytics analytics(corpus);
+  for (std::size_t i = 0; i < corpus.events.size(); ++i) {
+    telemetry::EventWindow w;
+    w.events.push_back(corpus.events[i]);
+    analytics.absorb(w);
+  }
+
+  const auto batch = monthly_summary(a);
+  expect_same_summary(analytics.monthly(a), batch);
+  EXPECT_EQ(batch.overall.events, corpus.events.size());
+  EXPECT_EQ(batch.overall.machines, 2u);
+  EXPECT_EQ(batch.overall.files, 3u);
+  for (std::size_t m = 0; m < model::kNumCollectionMonths; ++m) {
+    EXPECT_EQ(batch.months[m].events, 1u);
+    EXPECT_EQ(batch.months[m].machines, 1u);
+  }
 }
 
 }  // namespace

@@ -41,6 +41,24 @@ TEST(CorpusIndex, PrevalenceCountsDistinctMachines) {
   EXPECT_EQ(idx.prevalence(FileId{2}), 0u);
 }
 
+TEST(CorpusIndex, ReachKeepsSortedMachinesAndBrowserFlag) {
+  Corpus c = tiny_corpus();
+  c.processes.resize(2);
+  c.processes[1].category = model::ProcessCategory::kBrowser;
+  // Machine 1 lands between file 0's machines 0 and 2.
+  const DownloadEvent via_browser{FileId{0}, MachineId{1}, ProcessId{1},
+                                  UrlId{0}, model::month_begin(Month::kApril)};
+  c.events.push_back(via_browser);
+  const CorpusIndex idx(c);
+  const auto machines = idx.reach().machines(FileId{0});
+  ASSERT_EQ(machines.size(), 3u);
+  EXPECT_EQ(machines[0], (MachineId{0}));
+  EXPECT_EQ(machines[1], (MachineId{1}));
+  EXPECT_EQ(machines[2], (MachineId{2}));
+  EXPECT_TRUE(idx.reach().via_browser(FileId{0}));
+  EXPECT_FALSE(idx.reach().via_browser(FileId{1}));
+}
+
 TEST(CorpusIndex, FirstLastSeen) {
   const Corpus c = tiny_corpus();
   const CorpusIndex idx(c);

@@ -1,8 +1,10 @@
 #include "telemetry/io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
+#include <string>
 
 #include "synth/generator.hpp"
 #include "telemetry/index.hpp"
@@ -10,9 +12,11 @@
 namespace longtail::telemetry {
 namespace {
 
+// Per-process directory: ctest runs each test as its own process, and
+// tests sharing one path would overwrite each other's exports.
 std::string temp_dir() {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "longtail_io_test";
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("longtail_io_test_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   return dir.string();
 }
