@@ -3,8 +3,13 @@
 // the paper's narrative depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "core/longtail.hpp"
 #include "dataset_fixture.hpp"
+#include "telemetry/scan.hpp"
 
 namespace longtail::analysis {
 namespace {
@@ -121,6 +126,96 @@ TEST(Domains, AlexaDistributionsDiffer) {
   EXPECT_GT(malicious.domains, 0u);
   // Malicious hosting uses more unranked (dedicated) domains.
   EXPECT_GT(malicious.unranked_fraction, benign.unranked_fraction);
+}
+
+// Naive distinct counting for the domain tables: one std::set of members
+// per domain, filled by a serial pass over every event, ranked by count
+// and then by domain id (TopK's tie-break).
+using NaiveSets = std::map<std::uint32_t, std::set<std::uint32_t>>;
+
+std::vector<DomainCount> naive_rank(const AnnotatedCorpus& a,
+                                    const NaiveSets& sets,
+                                    std::size_t top_k) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> ranked;
+  for (const auto& [domain, members] : sets)
+    ranked.emplace_back(domain, members.size());
+  std::sort(ranked.begin(), ranked.end(), [](const auto& x, const auto& y) {
+    return x.second != y.second ? x.second > y.second : x.first < y.first;
+  });
+  if (ranked.size() > top_k) ranked.resize(top_k);
+  std::vector<DomainCount> out;
+  for (const auto& [domain, count] : ranked)
+    out.emplace_back(a.corpus->domain_names.at(domain), count);
+  return out;
+}
+
+TEST(DomainTables, MatchNaiveSetCountsAcrossScanShards) {
+  const auto& a = pipeline().annotated();
+  const auto& corpus = *a.corpus;
+  // The kernels' shard keys only meet in the finisher when the scan
+  // splits.
+  ASSERT_GE(telemetry::scan_shard_count(corpus.events.size()), 2u);
+
+  NaiveSets overall, benign_machines, malicious_machines;
+  NaiveSets benign_files, malicious_files;
+  std::array<NaiveSets, model::kNumMalwareTypes> per_type;
+  std::map<model::Verdict, std::set<std::uint32_t>> hosting;
+  for (std::size_t i = 0; i < corpus.events.size(); ++i) {
+    const auto e = corpus.events[i];
+    const auto domain = corpus.urls[e.url().raw()].domain.raw();
+    const auto machine = e.machine().raw();
+    const auto file = e.file().raw();
+    const auto verdict = a.verdict(e.file());
+    overall[domain].insert(machine);
+    hosting[verdict].insert(domain);
+    if (verdict == model::Verdict::kBenign) {
+      benign_machines[domain].insert(machine);
+      benign_files[domain].insert(file);
+    } else if (verdict == model::Verdict::kMalicious) {
+      malicious_machines[domain].insert(machine);
+      malicious_files[domain].insert(file);
+      const auto type = static_cast<std::size_t>(a.type_of(e.file()));
+      per_type[type][domain].insert(file);
+    }
+  }
+
+  for (const std::size_t top_k : {std::size_t{10}, corpus.num_domains()}) {
+    SCOPED_TRACE(top_k);
+    const auto pop = domain_popularity(a, top_k);
+    EXPECT_EQ(pop.overall, naive_rank(a, overall, top_k));
+    EXPECT_EQ(pop.benign, naive_rank(a, benign_machines, top_k));
+    EXPECT_EQ(pop.malicious, naive_rank(a, malicious_machines, top_k));
+
+    const auto files = files_per_domain(a, top_k);
+    EXPECT_EQ(files.benign, naive_rank(a, benign_files, top_k));
+    EXPECT_EQ(files.malicious, naive_rank(a, malicious_files, top_k));
+
+    const auto types = domains_per_type(a, top_k);
+    for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t)
+      EXPECT_EQ(types[t], naive_rank(a, per_type[t], top_k)) << t;
+  }
+
+  for (const auto verdict :
+       {model::Verdict::kBenign, model::Verdict::kMalicious,
+        model::Verdict::kUnknown}) {
+    const auto& domains = hosting[verdict];
+    util::EmpiricalCdf ranks;
+    std::uint64_t unranked = 0;
+    for (const auto d : domains) {
+      const auto rank = corpus.domains[d].alexa_rank;
+      if (rank == 0)
+        ++unranked;
+      else
+        ranks.add(static_cast<double>(rank));
+    }
+    ranks.finalize();
+    const auto got = alexa_of_domains_hosting(a, verdict);
+    EXPECT_EQ(got.domains, domains.size());
+    EXPECT_EQ(got.ranks, ranks);
+    EXPECT_DOUBLE_EQ(got.unranked_fraction,
+                     static_cast<double>(unranked) /
+                         static_cast<double>(domains.size()));
+  }
 }
 
 TEST(Signers, SigningRatesFollowPaperShape) {

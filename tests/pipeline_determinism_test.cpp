@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/domains.hpp"
 #include "analysis/monthly.hpp"
 #include "analysis/signers.hpp"
 #include "bench/table_render.hpp"
@@ -208,6 +209,77 @@ constexpr std::uint64_t kPinnedModerateFingerprint = 0x3C41B26DEE91C5E0ULL;
 constexpr std::uint64_t kPinnedTable01BodyHash = 0x0841637FB99B63F5ULL;
 constexpr std::uint64_t kPinnedTable06BodyHash = 0xD8804855D807AD04ULL;
 
+// The second pin set was captured from the build immediately BEFORE the
+// flat distinct-count kernel replaced the map-of-sets accumulators in
+// analysis/domains.cpp and the one-pass tokenizer replaced AVclass's
+// per-token strings: FNV digests of the annotation (per-file types and
+// family names, per-process types, the AVType resolution tally) and of
+// the full Table III / IV / V results, every domain ranked
+// (top_k = number of domains), so no tie at a cut-off can hide a change.
+constexpr std::uint64_t kPinnedFileTypesHash = 0xD3448C7EB92E6467ULL;
+constexpr std::uint64_t kPinnedProcessTypesHash = 0xC08EF4B547F5001AULL;
+constexpr std::uint64_t kPinnedFileFamiliesHash = 0x5035D3844A421987ULL;
+constexpr std::uint64_t kPinnedTypeStatsHash = 0x68437AE2E0CA0A3AULL;
+constexpr std::uint64_t kPinnedDomainPopularityHash = 0x482E64A592B7CC76ULL;
+constexpr std::uint64_t kPinnedFilesPerDomainHash = 0x70CD066339BD72C2ULL;
+constexpr std::uint64_t kPinnedDomainsPerTypeHash = 0xAADC2266B71AF4A0ULL;
+
+void mix_ranking(util::FnvMixer& m,
+                 const std::vector<analysis::DomainCount>& ranking) {
+  m(ranking.size());
+  for (const auto& [name, count] : ranking) {
+    m(util::fnv1a64(name));
+    m(count);
+  }
+}
+
+template <typename Enum>
+std::uint64_t enum_column_hash(const std::vector<Enum>& column) {
+  util::FnvMixer m;
+  for (const auto v : column) m(static_cast<std::uint64_t>(v));
+  return m.value();
+}
+
+void expect_pinned_annotation(const analysis::AnnotatedCorpus& a,
+                              const char* which) {
+  EXPECT_EQ(enum_column_hash(a.file_types), kPinnedFileTypesHash) << which;
+  EXPECT_EQ(enum_column_hash(a.process_types), kPinnedProcessTypesHash)
+      << which;
+
+  util::FnvMixer families;
+  for (const auto id : a.file_families)
+    families(id == analysis::AnnotatedCorpus::kNoFamily
+                 ? ~0ULL
+                 : util::fnv1a64(a.derived_families.at(id)));
+  EXPECT_EQ(families.value(), kPinnedFileFamiliesHash) << which;
+
+  const auto& s = a.file_type_stats;
+  util::FnvMixer stats;
+  for (const auto v : {s.unanimous, s.voting, s.specificity, s.manual,
+                       s.no_leading_label})
+    stats(v);
+  EXPECT_EQ(stats.value(), kPinnedTypeStatsHash) << which;
+
+  const std::size_t all = a.corpus->num_domains();
+  const auto pop = analysis::domain_popularity(a, all);
+  util::FnvMixer popularity;
+  for (const auto* ranking : {&pop.overall, &pop.benign, &pop.malicious})
+    mix_ranking(popularity, *ranking);
+  EXPECT_EQ(popularity.value(), kPinnedDomainPopularityHash) << which;
+
+  const auto files = analysis::files_per_domain(a, all);
+  util::FnvMixer per_domain;
+  mix_ranking(per_domain, files.benign);
+  mix_ranking(per_domain, files.malicious);
+  per_domain(files.overlap_in_top);
+  EXPECT_EQ(per_domain.value(), kPinnedFilesPerDomainHash) << which;
+
+  util::FnvMixer per_type;
+  for (const auto& ranking : analysis::domains_per_type(a, all))
+    mix_ranking(per_type, ranking);
+  EXPECT_EQ(per_type.value(), kPinnedDomainsPerTypeHash) << which;
+}
+
 void expect_pinned_tables(const core::LongtailPipeline& pipeline,
                           const char* which) {
   const std::string t01 =
@@ -216,6 +288,7 @@ void expect_pinned_tables(const core::LongtailPipeline& pipeline,
       bench::render_table06(analysis::signing_rates(pipeline.annotated()));
   EXPECT_EQ(util::fnv1a64(t01), kPinnedTable01BodyHash) << which;
   EXPECT_EQ(util::fnv1a64(t06), kPinnedTable06BodyHash) << which;
+  expect_pinned_annotation(pipeline.annotated(), which);
 }
 
 TEST_F(PipelineDeterminismTest, MigrationGateFreshRunMatchesPreMigration) {
