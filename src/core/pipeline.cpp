@@ -1,5 +1,7 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
+#include <array>
 #include <string>
 
 #include "util/hash.hpp"
@@ -21,8 +23,14 @@ LongtailPipeline::LongtailPipeline(synth::Dataset dataset)
       dataset_.corpus, dataset_.whitelist, dataset_.vt));
 }
 
-RuleExperiment LongtailPipeline::run_rule_experiment(
-    model::Month train, model::Month test, rules::PartConfig config) const {
+namespace {
+
+// One window's experiment from its two months' first-event lists.
+RuleExperiment rule_experiment(
+    const analysis::AnnotatedCorpus& a, model::Month train, model::Month test,
+    std::span<const features::FirstEvent> train_first,
+    std::span<const features::FirstEvent> test_first,
+    const rules::PartConfig& config) {
   LONGTAIL_TRACE_SPAN_DETAIL(
       "pipeline.rule_experiment",
       "train=" + std::string(model::month_name(train)) +
@@ -32,21 +40,52 @@ RuleExperiment LongtailPipeline::run_rule_experiment(
   RuleExperiment exp;
   exp.train_month = train;
   exp.test_month = test;
-  exp.data = features::build_window_dataset(*annotated_, exp.space, train,
-                                            test);
+  exp.data = features::build_window_dataset(a, exp.space, train_first,
+                                            test_first);
   const rules::PartLearner learner(config);
   exp.all_rules = learner.learn(exp.data.train);
   return exp;
 }
 
+}  // namespace
+
+RuleExperiment LongtailPipeline::run_rule_experiment(
+    model::Month train, model::Month test, rules::PartConfig config) const {
+  const std::array window = {std::pair{train, test}};
+  auto experiments = run_rule_experiments(window, config);
+  return std::move(experiments.front());
+}
+
 std::vector<RuleExperiment> LongtailPipeline::run_rule_experiments(
     std::span<const std::pair<model::Month, model::Month>> windows,
     rules::PartConfig config) const {
+  // Consecutive windows share months, so each month's first events are
+  // scanned once and read by every window that trains or tests on it.
+  std::vector<model::Month> months;
+  for (const auto& [train, test] : windows)
+    for (const auto m : {train, test})
+      if (std::find(months.begin(), months.end(), m) == months.end())
+        months.push_back(m);
+  std::vector<std::vector<features::FirstEvent>> firsts;
+  {
+    LONGTAIL_TRACE_SPAN("pipeline.first_events");
+    firsts = util::parallel_map(months.size(), [&](std::size_t i) {
+      return features::first_events(*annotated_,
+                                    model::month_begin(months[i]),
+                                    model::month_end(months[i]));
+    });
+  }
+  const auto first_events_of = [&](model::Month m) {
+    return std::span<const features::FirstEvent>(
+        firsts[std::find(months.begin(), months.end(), m) - months.begin()]);
+  };
   // Each window reads the shared annotated corpus (const) and owns its
   // FeatureSpace, so windows are independent; results land in window
   // order regardless of scheduling.
   return util::parallel_map(windows.size(), [&](std::size_t i) {
-    return run_rule_experiment(windows[i].first, windows[i].second, config);
+    const auto [train, test] = windows[i];
+    return rule_experiment(*annotated_, train, test, first_events_of(train),
+                           first_events_of(test), config);
   });
 }
 

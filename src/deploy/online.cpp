@@ -28,6 +28,7 @@ OnlineLabeler::OnlineLabeler(const synth::Dataset& dataset,
     : dataset_(dataset),
       annotated_(annotated),
       config_(config),
+      extract_(annotated_, space_),
       learner_(config_.part) {}
 
 std::vector<features::Instance> OnlineLabeler::training_window(
@@ -55,9 +56,8 @@ std::vector<features::Instance> OnlineLabeler::training_window(
                                      dataset_.vt.query(id), end)
             : annotated_.labels.file_verdicts[file];
     if (v != Verdict::kBenign && v != Verdict::kMalicious) continue;
-    out.push_back(features::Instance{
-        features::extract_features(annotated_, *event, space_),
-        v == Verdict::kMalicious, id});
+    out.push_back(
+        features::Instance{extract_(*event), v == Verdict::kMalicious, id});
   }
   return out;
 }
@@ -136,7 +136,7 @@ void OnlineLabeler::serve_event(const model::DownloadEvent& e) {
   if (current_month_ >= 1 && current_month_ < model::kNumCollectionMonths) {
     auto& stats = monthly_.back();
     ++stats.events;
-    const auto x = features::extract_features(annotated_, e, space_);
+    const auto x = extract_(e);
     const auto decision = classifier_->classify(x);
     switch (decision) {
       case rules::Decision::kMalicious: ++stats.decided_malicious; break;

@@ -107,6 +107,9 @@ class OnlineLabeler {
   OnlineLabeler(const synth::Dataset& dataset,
                 const analysis::AnnotatedCorpus& annotated,
                 OnlineConfig config = {});
+  // The extractor is bound to the labeler's own feature space.
+  OnlineLabeler(const OnlineLabeler&) = delete;
+  OnlineLabeler& operator=(const OnlineLabeler&) = delete;
 
   // Replays the full corpus: retrains at each month boundary, classifies
   // every event of the following month. Months without a preceding
@@ -172,6 +175,7 @@ class OnlineLabeler {
   OnlineConfig config_;
   groundtruth::Labeler labeler_;
   features::FeatureSpace space_;
+  features::FeatureExtractor extract_;
   rules::PartLearner learner_;
 
   // Serving state.

@@ -10,6 +10,8 @@
 // inside the window.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "features/features.hpp"
@@ -31,6 +33,37 @@ struct WindowOptions {
   bool include_likely_as_labels = false;
 };
 
+// The first download event of one file inside a time range.
+struct FirstEvent {
+  std::uint32_t file = 0;
+  std::uint32_t event = 0;  // index into the corpus event table
+};
+
+// The first event of every file downloaded in [begin, end).
+//
+// Order contract: the list is in the iteration order of the
+// std::unordered_map that collects it, and features are extracted (and
+// so interned) in list order. Feature value ids therefore follow the
+// standard library's hash-map internals. Changing this order (extracting
+// in file-id order, say) renumbers the values, which reorders PART's
+// tie-breaks and changes Tables XVI and XVII, table_expansion,
+// table_likely_labels, table_training_window, table_unknown_nature and
+// table_baselines at scales 0.05 and 0.10 (not at 0.02, where only the
+// FeatureSpace pin of tests/rules_layer_gate_test.cpp notices).
+std::vector<FirstEvent> first_events(const analysis::AnnotatedCorpus& a,
+                                     model::Timestamp begin,
+                                     model::Timestamp end);
+
+// Builds the train/test/unknown instances from the first-event lists of
+// the training and test ranges. A month's list can be computed once and
+// shared by every window that reads it.
+WindowDataset build_window_dataset(const analysis::AnnotatedCorpus& a,
+                                   FeatureSpace& space,
+                                   std::span<const FirstEvent> train_first,
+                                   std::span<const FirstEvent> test_first,
+                                   WindowOptions options = {});
+
+// The same for one (training month, test month) window.
 WindowDataset build_window_dataset(const analysis::AnnotatedCorpus& a,
                                    FeatureSpace& space, model::Month train,
                                    model::Month test,

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/annotated.hpp"
 #include "model/event.hpp"
@@ -83,10 +84,42 @@ struct Instance {
 // Maps the Alexa rank of a domain to its bucket value (the paper's rules
 // use ranges such as "between 10,000 to 100,000" and "above 100K").
 std::string_view alexa_bucket(std::uint32_t rank);
+inline constexpr std::size_t kNumAlexaBuckets = 6;
 
-// Extracts the feature vector of one download event.
-FeatureVector extract_features(const analysis::AnnotatedCorpus& a,
-                               const model::DownloadEvent& e,
-                               FeatureSpace& space);
+// Extracts feature vectors of download events into one FeatureSpace.
+//
+// Every value is a function of one corpus key — the signer, CA or packer
+// id (or its absence), the downloading process, the Alexa bucket — so the
+// extractor remembers the value id it got for each key and interns only
+// on a miss. A value string is first seen at a miss, so misses intern the
+// same strings at the same events in the same order as interning every
+// value would: the ids are identical by construction.
+//
+// The caches hold ids of the bound space, so keep one extractor per
+// space; the space may keep growing through other paths meanwhile.
+class FeatureExtractor {
+ public:
+  FeatureExtractor(const analysis::AnnotatedCorpus& a, FeatureSpace& space);
+
+  // Throws std::out_of_range if a signer, CA or packer id is outside its
+  // corpus name pool.
+  FeatureVector operator()(const model::DownloadEvent& e);
+
+ private:
+  static constexpr std::uint32_t kUnset = ~0u;
+
+  // The value id of name feature `f` (a signer, CA or packer): the name
+  // `id` in `names` if `present`, else the feature's absent value.
+  std::uint32_t name_value(std::size_t f, const util::StringInterner& names,
+                           bool present, std::uint32_t id);
+
+  const analysis::AnnotatedCorpus* a_;
+  FeatureSpace* space_;
+  // Per name feature (file then process signer, CA, packer), the value id
+  // by name id; the last slot is the absent value's.
+  std::array<std::vector<std::uint32_t>, 6> names_;
+  std::vector<std::uint32_t> process_types_;  // by process id
+  std::array<std::uint32_t, kNumAlexaBuckets> alexa_buckets_;
+};
 
 }  // namespace longtail::features

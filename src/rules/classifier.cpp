@@ -4,12 +4,6 @@
 
 namespace longtail::rules {
 
-namespace {
-constexpr std::uint64_t bucket_key(features::Feature f, std::uint32_t value) {
-  return (static_cast<std::uint64_t>(f) << 32) | value;
-}
-}  // namespace
-
 RuleClassifier::RuleClassifier(std::vector<Rule> rules, ConflictPolicy policy)
     : rules_(std::move(rules)), policy_(policy) {
   for (std::uint32_t i = 0; i < rules_.size(); ++i) {
@@ -18,19 +12,29 @@ RuleClassifier::RuleClassifier(std::vector<Rule> rules, ConflictPolicy policy)
       continue;
     }
     const auto& first = rules_[i].conditions.front();
-    first_cond_[bucket_key(first.feature, first.value)].push_back(i);
+    first_cond_.push_back(
+        {static_cast<std::uint32_t>(first.feature), first.value, i});
   }
+  std::sort(first_cond_.begin(), first_cond_.end());
+  for (std::uint32_t f = 0; f <= features::kNumFeatures; ++f)
+    feature_begin_[f] = static_cast<std::uint32_t>(
+        std::lower_bound(first_cond_.begin(), first_cond_.end(),
+                         FirstCondition{f, 0, 0}) -
+        first_cond_.begin());
 }
 
 template <typename Visit>
 void RuleClassifier::for_each_match(const features::FeatureVector& x,
                                     Visit&& visit) const {
-  for (std::size_t f = 0; f < features::kNumFeatures; ++f) {
-    const auto it = first_cond_.find(
-        bucket_key(static_cast<features::Feature>(f), x.values[f]));
-    if (it == first_cond_.end()) continue;
-    for (const auto index : it->second)
-      if (rules_[index].matches(x)) visit(index);
+  for (std::uint32_t f = 0; f < features::kNumFeatures; ++f) {
+    // Within feature f's slice, the triples are sorted by value.
+    const std::uint32_t value = x.values[f];
+    const auto last = first_cond_.begin() + feature_begin_[f + 1];
+    auto it = std::lower_bound(
+        first_cond_.begin() + feature_begin_[f], last, value,
+        [](const FirstCondition& c, std::uint32_t v) { return c[1] < v; });
+    for (; it != last && (*it)[1] == value; ++it)
+      if (rules_[(*it)[2]].matches(x)) visit((*it)[2]);
   }
   for (const auto index : unconditional_) visit(index);
 }

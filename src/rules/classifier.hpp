@@ -10,9 +10,9 @@
 // Alternative conflict policies are provided for the ablation benchmarks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "rules/rule.hpp"
@@ -62,7 +62,7 @@ class RuleClassifier {
 
  private:
   // A rule can only match x if its first condition does, so rules are
-  // bucketed by their first condition's (feature, value); a lookup per
+  // bucketed by their first condition's (feature, value); one search per
   // feature replaces the linear scan over the whole rule set (rule sets
   // reach thousands at full corpus scale).
   template <typename Visit>
@@ -70,7 +70,17 @@ class RuleClassifier {
 
   std::vector<Rule> rules_;
   ConflictPolicy policy_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> first_cond_;
+  // The first-condition index: a (feature, value, rule) triple per rule
+  // with conditions, sorted, so each (feature, value) bucket is one run
+  // in ascending rule order. Its size follows the rule count alone (a
+  // hand-built rule may test any value id).
+  using FirstCondition = std::array<std::uint32_t, 3>;
+  std::vector<FirstCondition> first_cond_;
+  // Feature f's triples are first_cond_[feature_begin_[f],
+  // feature_begin_[f + 1]). Searching that slice alone costs nothing for
+  // a feature no rule starts with, where a search of the whole index
+  // pays its full depth for every feature of every instance.
+  std::array<std::uint32_t, features::kNumFeatures + 1> feature_begin_{};
   std::vector<std::uint32_t> unconditional_;
 };
 

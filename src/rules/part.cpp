@@ -91,7 +91,7 @@ struct BuildOutcome {
 class PartialTreeBuilder {
  public:
   PartialTreeBuilder(std::span<const Instance> data, const PartConfig& config)
-      : data_(data), config_(config) {}
+      : data_(data), config_(config), splits_(data) {}
 
   BuildOutcome expand(std::vector<std::uint32_t>& items);
 
@@ -114,6 +114,7 @@ class PartialTreeBuilder {
 
   std::span<const Instance> data_;
   const PartConfig& config_;
+  induction::SplitSelector splits_;
 };
 
 BuildOutcome PartialTreeBuilder::expand(std::vector<std::uint32_t>& items) {
@@ -124,8 +125,7 @@ BuildOutcome PartialTreeBuilder::expand(std::vector<std::uint32_t>& items) {
   if (mal == 0 || mal == n || n < 2 * config_.min_instances)
     return make_leaf(n, mal);
 
-  auto choice = induction::choose_split(data_, items, mal,
-                                        config_.min_instances);
+  auto choice = splits_.choose(items, mal, config_.min_instances);
   if (!choice.found) return make_leaf(n, mal);
 
   // Expand subsets in ascending entropy (Frank & Witten): low-entropy

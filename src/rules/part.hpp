@@ -44,9 +44,10 @@ class PartLearner {
  public:
   explicit PartLearner(PartConfig config = {}) : config_(config) {}
 
-  // Learns an ordered rule list. Rule statistics (coverage/errors) are
-  // measured on the instances remaining when the rule was extracted, as
-  // in PART.
+  // Learns an ordered rule list. PART extracts each rule from the
+  // instances the earlier rules left uncovered, but the returned
+  // statistics (coverage/errors) are re-scored on the full training
+  // data, because the rules are applied as a set (§VI-D).
   [[nodiscard]] std::vector<Rule> learn(
       std::span<const features::Instance> data) const;
 

@@ -10,6 +10,7 @@ namespace longtail::rules {
 DecisionTree DecisionTree::build(std::span<const features::Instance> data,
                                  Config config) {
   DecisionTree tree;
+  induction::SplitSelector splits(data);
 
   // Recursive grow + prune. Returns {node, estimated subtree errors}.
   std::function<std::pair<std::unique_ptr<Node>, double>(
@@ -39,8 +40,7 @@ DecisionTree DecisionTree::build(std::span<const features::Instance> data,
         depth >= config.max_depth)
       return {make_leaf(), leaf_est};
 
-    auto choice =
-        induction::choose_split(data, items, mal, config.min_instances);
+    auto choice = splits.choose(items, mal, config.min_instances);
     if (!choice.found) return {make_leaf(), leaf_est};
 
     auto node = std::make_unique<Node>();

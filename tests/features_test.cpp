@@ -50,7 +50,8 @@ class FeatureExtractionTest : public ::testing::Test {
 TEST_F(FeatureExtractionTest, ExtractsAllEightFeatures) {
   const auto& a = pipeline().annotated();
   FeatureSpace space;
-  const auto x = extract_features(a, a.corpus->events.front(), space);
+  FeatureExtractor extract(a, space);
+  const auto x = extract(a.corpus->events.front());
   for (std::size_t f = 0; f < kNumFeatures; ++f) {
     EXPECT_LT(x.values[f], space.cardinality(static_cast<Feature>(f)));
   }
@@ -59,9 +60,10 @@ TEST_F(FeatureExtractionTest, ExtractsAllEightFeatures) {
 TEST_F(FeatureExtractionTest, UnsignedFilesGetNotSignedValue) {
   const auto& a = pipeline().annotated();
   FeatureSpace space;
+  FeatureExtractor extract(a, space);
   for (const auto e : a.corpus->events) {
     if (a.corpus->files[e.file().raw()].is_signed) continue;
-    const auto x = extract_features(a, e, space);
+    const auto x = extract(e);
     EXPECT_EQ(space.name(Feature::kFileSigner, x.at(Feature::kFileSigner)),
               "not-signed");
     EXPECT_EQ(space.name(Feature::kFileCa, x.at(Feature::kFileCa)), "no-ca");
