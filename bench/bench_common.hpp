@@ -31,6 +31,7 @@ extern "C" char** environ;  // walked for the LONGTAIL_* run manifest
 #include "core/longtail.hpp"
 #include "synth/dataset_io.hpp"
 #include "telemetry/faults.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/profile.hpp"
 #include "util/table.hpp"
@@ -194,47 +195,6 @@ double time_ms(Fn&& fn) {
   return std::chrono::duration<double, std::milli>(end - begin).count();
 }
 
-// Minimal append-only JSON object builder for the BENCH_*.json files.
-// Emits only what the trajectory needs: numbers, strings, booleans, and
-// pre-rendered nested values via raw().
-class JsonObject {
- public:
-  JsonObject& field(std::string_view key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return raw(key, buf);
-  }
-  JsonObject& field(std::string_view key, std::uint64_t v) {
-    return raw(key, std::to_string(v));
-  }
-  JsonObject& field(std::string_view key, unsigned v) {
-    return raw(key, std::to_string(v));
-  }
-  JsonObject& field(std::string_view key, bool v) {
-    return raw(key, v ? "true" : "false");
-  }
-  JsonObject& field(std::string_view key, std::string_view v) {
-    std::string quoted = "\"";
-    quoted.append(v);
-    quoted += '"';
-    return raw(key, quoted);
-  }
-  JsonObject& raw(std::string_view key, std::string_view json) {
-    if (!first_) out_ += ", ";
-    first_ = false;
-    out_ += '"';
-    out_.append(key);
-    out_ += "\": ";
-    out_.append(json);
-    return *this;
-  }
-  [[nodiscard]] std::string str() const { return out_ + "}"; }
-
- private:
-  std::string out_ = "{";
-  bool first_ = true;
-};
-
 // Run-provenance manifest: everything needed to reproduce (or refuse to
 // compare) a bench result. Embedded as the "run" object in every
 // BENCH_*.json so a number can always be traced back to the exact seed,
@@ -248,7 +208,7 @@ inline std::string run_manifest_json(double scale,
   const auto scenario = synth::scenario_from_env();
 
   // Every LONGTAIL_* environment knob, sorted, so two manifests diff
-  // cleanly. Values are self-produced strings but escape them anyway.
+  // cleanly.
   std::map<std::string, std::string> knobs;
   for (char** env = environ; env != nullptr && *env != nullptr; ++env) {
     const std::string_view entry = *env;
@@ -257,19 +217,8 @@ inline std::string run_manifest_json(double scale,
     if (eq == std::string_view::npos) continue;
     knobs.emplace(entry.substr(0, eq), entry.substr(eq + 1));
   }
-  std::string env_json = "{";
-  bool first = true;
-  for (const auto& [key, value] : knobs) {
-    if (!first) env_json += ", ";
-    first = false;
-    env_json += "\"" + key + "\": \"";
-    for (const char c : value) {
-      if (c == '"' || c == '\\') env_json += '\\';
-      env_json += c;
-    }
-    env_json += "\"";
-  }
-  env_json += "}";
+  util::json::Object env_json;
+  for (const auto& [key, value] : knobs) env_json.field(key, value);
 
   char fp[32];
   std::snprintf(fp, sizeof(fp), "0x%llx",
@@ -277,13 +226,13 @@ inline std::string run_manifest_json(double scale,
 #ifndef LONGTAIL_BUILD_TYPE
 #define LONGTAIL_BUILD_TYPE "unknown"
 #endif
-  JsonObject run;
+  util::json::Object run;
   run.field("seed", profile.seed)
       .field("scale", scale)
       .field("threads", util::effective_threads())
       .field("hardware_concurrency",
              static_cast<unsigned>(std::thread::hardware_concurrency()))
-      .raw("env", env_json)
+      .raw("env", env_json.str())
       .field("compiler", std::string_view(__VERSION__))
       .field("build_type", std::string_view(LONGTAIL_BUILD_TYPE))
       .field("dataset_fingerprint", std::string_view(fp))

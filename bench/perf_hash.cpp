@@ -251,7 +251,7 @@ void emit_trajectory() {
                 "lookups/s)%s\n",
                 threads, ms, rate, total == sum_scalar ? "" : " MISMATCH");
     if (scaling_json.size() > 1) scaling_json += ", ";
-    scaling_json += bench::JsonObject()
+    scaling_json += util::json::Object()
                         .field("threads", threads)
                         .field("ms", ms)
                         .field("lookups_per_sec", rate)
@@ -262,7 +262,7 @@ void emit_trajectory() {
   util::set_global_threads(util::ThreadPool::default_threads());
 
   const auto counters =
-      bench::JsonObject()
+      util::json::Object()
           .field("probes", util::metrics::counter("util.flat_table.probes")
                                .value())
           .field("prefetch_batches",
@@ -273,11 +273,11 @@ void emit_trajectory() {
           .str();
 
   const auto json =
-      bench::JsonObject()
+      util::json::Object()
           .field("bench", std::string_view("hash"))
           .field("keys", static_cast<std::uint64_t>(n))
           .raw("run", bench::run_manifest_json(0.0))
-          .raw("find", bench::JsonObject()
+          .raw("find", util::json::Object()
                            .field("flat_scalar_ns_per_key", flat_scalar_ns)
                            .field("flat_batched_ns_per_key", flat_batched_ns)
                            .field("unordered_ns_per_key", unordered_ns)
@@ -286,7 +286,7 @@ void emit_trajectory() {
                            .field("scalar_vs_unordered", scalar_vs_unordered)
                            .str())
           .raw("insert",
-               bench::JsonObject()
+               util::json::Object()
                    .field("flat_ns_per_key", flat_insert_ns)
                    .field("flat_batched_ns_per_key", flat_insert_batched_ns)
                    .field("unordered_ns_per_key", unordered_insert_ns)

@@ -60,13 +60,27 @@ BENCHMARK(BM_GenerateDataset)
     ->Arg(10)
     ->Unit(benchmark::kMillisecond);
 
+// The §II-A rules over the collected corpus, through the streaming
+// server's trusted path as one window; building the deliveries is untimed.
 void BM_CollectionFilter(benchmark::State& state) {
   const auto ds = synth::generate_dataset(0.05);
+  const auto& events = ds.corpus.events;
+  std::vector<telemetry::DeliveredReport> delivered;
+  delivered.reserve(events.size());
+  for (std::size_t i = 0; i < events.size(); ++i)
+    delivered.push_back(telemetry::DeliveredReport{
+        events[i], static_cast<std::uint64_t>(i), events[i].time(), 0, false});
   for (auto _ : state) {
-    telemetry::CollectionServer server(
-        telemetry::CollectionPolicy{.sigma = 20, .whitelisted_domains = {}});
-    auto accepted = server.filter(ds.corpus.events, ds.corpus.urls);
-    benchmark::DoNotOptimize(accepted);
+    telemetry::StreamingConfig cfg;
+    cfg.policy.sigma = 20;
+    cfg.num_files = ds.corpus.files.size();
+    cfg.trusted = true;
+    telemetry::StreamingCollectionServer server(std::move(cfg),
+                                                ds.corpus.urls);
+    std::vector<telemetry::EventWindow> windows;
+    server.ingest(delivered, windows);
+    server.finish(windows);
+    benchmark::DoNotOptimize(windows);
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(ds.corpus.events.size()) * state.iterations());
@@ -295,7 +309,7 @@ int run_fullscale_child() {
   std::snprintf(checksum, sizeof(checksum), "0x%016llx",
                 static_cast<unsigned long long>(acc.h));
   const auto json =
-      bench::JsonObject()
+      util::json::Object()
           .field("load_path", std::string_view(use_mmap ? "mapped" : "owned"))
           .field("load_ms", load_ms)
           .field("scan_ms", scan_ms)
@@ -314,24 +328,6 @@ int run_fullscale_child() {
   }
   std::fprintf(stderr, "fullscale child: cannot write %s\n", out_env);
   return 1;
-}
-
-// Naive field extraction from the (trusted, self-produced) child JSON.
-double json_number_field(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return 0.0;
-  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
-}
-
-std::string json_string_field(const std::string& json,
-                              const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return {};
-  const std::size_t begin = pos + needle.size();
-  const std::size_t end = json.find('"', begin);
-  return json.substr(begin, end - begin);
 }
 
 // Parent side: ensure the LTCP corpus file exists at the requested scale,
@@ -375,6 +371,13 @@ std::string run_fullscale_section(const char* argv0) {
   // One child per load path: ru_maxrss is a per-process high-water mark,
   // so owned and mapped must be measured in separate processes.
   std::string child_json[2];
+  util::json::Value child[2];
+  // A member of child `i`'s document; a missing one reads as null.
+  const auto member = [&](int i, const char* key) -> const util::json::Value& {
+    static const util::json::Value kNull;
+    const util::json::Value* v = child[i].find(key);
+    return v != nullptr ? *v : kNull;
+  };
   const char* modes[2] = {"owned", "mapped"};
   for (int i = 0; i < 2; ++i) {
     const std::string out_path =
@@ -401,25 +404,31 @@ std::string run_fullscale_section(const char* argv0) {
       child_json[i].assign(buf, n);
       std::filesystem::remove(out_path);
     }
+    try {
+      child[i] = util::json::parse(child_json[i]);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "[longtail] fullscale %s child JSON: %s\n",
+                   modes[i], e.what());
+      return {};
+    }
     std::printf("  %-6s load %7.0f ms, scan %7.0f ms, %9.0f events/s, "
                 "max_rss %7.1f MB\n",
-                modes[i], json_number_field(child_json[i], "load_ms"),
-                json_number_field(child_json[i], "scan_ms"),
-                json_number_field(child_json[i], "events_per_sec"),
-                json_number_field(child_json[i], "max_rss_mb"));
+                modes[i], member(i, "load_ms").num_or(0.0),
+                member(i, "scan_ms").num_or(0.0),
+                member(i, "events_per_sec").num_or(0.0),
+                member(i, "max_rss_mb").num_or(0.0));
   }
 
-  const double owned_rss = json_number_field(child_json[0], "max_rss_mb");
-  const double mapped_rss = json_number_field(child_json[1], "max_rss_mb");
+  const double owned_rss = member(0, "max_rss_mb").num_or(0.0);
+  const double mapped_rss = member(1, "max_rss_mb").num_or(0.0);
   const double rss_ratio = owned_rss > 0 ? mapped_rss / owned_rss : 0.0;
+  const std::string_view checksum = member(0, "checksum").str_or("");
   const bool equivalent =
-      !json_string_field(child_json[0], "checksum").empty() &&
-      json_string_field(child_json[0], "checksum") ==
-          json_string_field(child_json[1], "checksum");
+      !checksum.empty() && checksum == member(1, "checksum").str_or("");
   std::printf("  mapped/owned rss ratio %.2f, scan checksums %s\n", rss_ratio,
               equivalent ? "equal" : "MISMATCH");
 
-  return bench::JsonObject()
+  return util::json::Object()
       .field("scale", fscale)
       .raw("owned", child_json[0])
       .raw("mapped", child_json[1])
@@ -517,7 +526,7 @@ std::string run_streaming_section(const synth::Dataset& dataset) {
       static_cast<unsigned long long>(fresh.files_pending), fresh.p50_s,
       fresh.p90_s, fresh.p99_s);
 
-  return bench::JsonObject()
+  return util::json::Object()
       .field("window_s", static_cast<std::uint64_t>(window_s))
       .field("chunk", static_cast<std::uint64_t>(chunk))
       .field("windows", static_cast<std::uint64_t>(windows.size()))
@@ -650,7 +659,7 @@ void emit_trajectory(const std::string& fullscale_json) {
     char fp[32];
     std::snprintf(fp, sizeof(fp), "0x%016llx",
                   static_cast<unsigned long long>(r.fingerprint));
-    runs_json += bench::JsonObject()
+    runs_json += util::json::Object()
                      .field("threads", r.threads)
                      .field("load_path", std::string_view("generate"))
                      .field("generate_ms", r.generate_ms)
@@ -673,7 +682,7 @@ void emit_trajectory(const std::string& fullscale_json) {
   // histograms and event counters accumulated across all trajectory
   // passes (see docs/observability.md for the name scheme).
   auto json_builder =
-      bench::JsonObject()
+      util::json::Object()
           .field("bench", std::string_view("pipeline"))
           .field("scale", scale)
           .field("mapped", bench::mmap_enabled())

@@ -260,7 +260,7 @@ void emit_trajectory() {
   std::string runs_json = "[";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     if (i > 0) runs_json += ", ";
-    runs_json += bench::JsonObject()
+    runs_json += util::json::Object()
                      .field("threads", runs[i].threads)
                      .field("match_ms", runs[i].ms)
                      .field("instances_per_sec",
@@ -269,7 +269,7 @@ void emit_trajectory() {
                      .str();
   }
   runs_json += "]";
-  const auto json = bench::JsonObject()
+  const auto json = util::json::Object()
                         .field("bench", std::string_view("rules"))
                         .field("instances",
                                static_cast<std::uint64_t>(instances))

@@ -58,7 +58,7 @@ inline std::string headline_json(const HeadlineMetrics& h,
   char fp[32];
   std::snprintf(fp, sizeof(fp), "0x%016llx",
                 static_cast<unsigned long long>(fingerprint));
-  return JsonObject()
+  return util::json::Object()
       .field("unknown_file_pct", h.unknown_file_pct)
       .field("unknown_machine_pct", h.unknown_machine_pct)
       .field("rule_tp_rate", h.rule_tp_rate)
@@ -71,7 +71,7 @@ inline std::string headline_json(const HeadlineMetrics& h,
 // Drift of one run's headline vs the sweep baseline, percentage points.
 inline std::string headline_drift_json(const HeadlineMetrics& r,
                                        const HeadlineMetrics& base) {
-  return JsonObject()
+  return util::json::Object()
       .field("unknown_file_pct", r.unknown_file_pct - base.unknown_file_pct)
       .field("unknown_machine_pct",
              r.unknown_machine_pct - base.unknown_machine_pct)
@@ -121,7 +121,7 @@ inline SigmaCapStats measure_sigma_cap(const synth::Dataset& ds) {
 }
 
 inline std::string sigma_json(const SigmaCapStats& s) {
-  return JsonObject()
+  return util::json::Object()
       .field("files_seen", s.files_seen)
       .field("saturated_files", s.saturated_files)
       .field("dropped_prevalence_cap", s.dropped_prevalence_cap)
@@ -195,7 +195,7 @@ inline StreamingReplayStats replay_streaming(
 }
 
 inline std::string streaming_json(const StreamingReplayStats& s) {
-  return JsonObject()
+  return util::json::Object()
       .field("windows", s.windows)
       .field("events", s.events)
       .field("peak_window_events", s.peak_window_events)

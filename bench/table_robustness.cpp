@@ -105,7 +105,7 @@ int main() {
     conservation = conservation && r.conservation;
     if (i > 0) profiles_json += ", ";
     const auto transport_json =
-        bench::JsonObject()
+        util::json::Object()
             .field("reports_offered", r.transport.reports_offered)
             .field("dropped_offline", r.transport.dropped_offline)
             .field("delivered", r.transport.delivered)
@@ -113,7 +113,7 @@ int main() {
             .field("corrupted", r.transport.corrupted)
             .str();
     const auto collection_json =
-        bench::JsonObject()
+        util::json::Object()
             .field("accepted", r.collection.accepted)
             .field("dropped_not_executed", r.collection.dropped_not_executed)
             .field("dropped_prevalence_cap",
@@ -126,7 +126,7 @@ int main() {
             .str();
     const auto drift_json =
         bench::headline_drift_json(r.headline, baseline.headline);
-    profiles_json += bench::JsonObject()
+    profiles_json += util::json::Object()
                          .field("name", std::string_view(r.name))
                          .field("spec", std::string_view(r.faults.spec()))
                          .field("conservation", r.conservation)
@@ -177,7 +177,7 @@ int main() {
       runs[2].headline.rule_fp_rate - baseline.headline.rule_fp_rate,
       conservation ? "yes" : "NO", deterministic ? "yes" : "NO");
 
-  const auto json = bench::JsonObject()
+  const auto json = util::json::Object()
                         .field("bench", std::string_view("robustness"))
                         .field("scale", scale)
                         .raw("run", bench::run_manifest_json(

@@ -65,7 +65,7 @@ ScenarioRun measure(const std::string& name, double scale,
 }
 
 std::string run_json(const ScenarioRun& r, const ScenarioRun& base) {
-  return bench::JsonObject()
+  return util::json::Object()
       .field("name", std::string_view(r.name))
       .field("spec", std::string_view(r.scenario.spec()))
       .field("faults", r.faults.any() ? std::string_view(r.faults.spec())
@@ -183,12 +183,12 @@ int main() {
   scenarios_json += "]";
 
   const auto json =
-      bench::JsonObject()
+      util::json::Object()
           .field("bench", std::string_view("scenarios"))
           .field("scale", scale)
           .raw("run", bench::run_manifest_json(scale, baseline.fingerprint))
           .raw("baseline",
-               bench::JsonObject()
+               util::json::Object()
                    .raw("headline",
                         bench::headline_json(baseline.headline,
                                              baseline.events,

@@ -1,10 +1,8 @@
 #include "avclass/avclass.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <set>
 
 namespace longtail::avclass {
 
@@ -183,9 +181,6 @@ FamilyResult FamilyExtractor::derive(
   };
   for (std::size_t d = 0; d < report.detections.size(); ++d) {
     for_each_candidate(report.detections[d].label, [&](std::string_view t) {
-      if (std::find(extra_generics_.begin(), extra_generics_.end(), t) !=
-          extra_generics_.end())
-        return;
       for (auto& v : votes) {
         if (text(v) != t) continue;
         if (v.last != d) {
@@ -208,28 +203,6 @@ FamilyResult FamilyExtractor::derive(
       best = &v;
   if (best == nullptr || best->count < min_support_) return {};
   return {std::string(text(*best)), best->count};
-}
-
-void GenericTokenLearner::observe(const groundtruth::VtReport& report) {
-  ++samples_;
-  std::set<std::string> tokens;
-  for (const auto& det : report.detections)
-    for (auto& token : FamilyExtractor::candidate_tokens(det.label))
-      tokens.insert(std::move(token));
-  for (const auto& token : tokens) ++token_samples_[token];
-}
-
-std::vector<std::string> GenericTokenLearner::learn(
-    double max_sample_fraction, std::size_t min_samples) const {
-  std::vector<std::string> out;
-  if (samples_ == 0) return out;
-  for (const auto& [token, count] : token_samples_) {
-    if (count < min_samples) continue;
-    const double fraction =
-        static_cast<double>(count) / static_cast<double>(samples_);
-    if (fraction >= max_sample_fraction) out.push_back(token);
-  }
-  return out;
 }
 
 }  // namespace longtail::avclass

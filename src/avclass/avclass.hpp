@@ -8,7 +8,6 @@
 // other 58% carry only generic labels.
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,12 +28,8 @@ struct FamilyResult {
 class FamilyExtractor {
  public:
   // `min_support`: minimum number of engines that must agree on a token
-  // (AVclass default: 2). `extra_generics`: corpus-learned generic tokens
-  // (see GenericTokenLearner) dropped in addition to the built-in list.
-  explicit FamilyExtractor(int min_support = 2,
-                           std::vector<std::string> extra_generics = {})
-      : min_support_(min_support),
-        extra_generics_(std::move(extra_generics)) {}
+  // (AVclass default: 2).
+  explicit FamilyExtractor(int min_support = 2) : min_support_(min_support) {}
 
   [[nodiscard]] FamilyResult derive(const groundtruth::VtReport& report) const;
 
@@ -45,29 +40,6 @@ class FamilyExtractor {
 
  private:
   int min_support_;
-  std::vector<std::string> extra_generics_;
-};
-
-// AVclass's generic-token preparation step: a token that shows up across
-// a large share of *distinct samples* cannot be a family name (families
-// are many; true family tokens concentrate). Feed it a corpus of reports,
-// then pass `learn()`'s output into FamilyExtractor.
-class GenericTokenLearner {
- public:
-  void observe(const groundtruth::VtReport& report);
-
-  // Tokens appearing in at least `max_sample_fraction` of the observed
-  // samples (and at least `min_samples` of them) are declared generic.
-  [[nodiscard]] std::vector<std::string> learn(
-      double max_sample_fraction = 0.15, std::size_t min_samples = 20) const;
-
-  [[nodiscard]] std::size_t samples_observed() const noexcept {
-    return samples_;
-  }
-
- private:
-  std::size_t samples_ = 0;
-  std::map<std::string, std::size_t> token_samples_;
 };
 
 }  // namespace longtail::avclass

@@ -27,13 +27,10 @@ void write_enum_vec(util::BinaryWriter& out, const std::vector<Enum>& v) {
   out.pod_array(std::span<const Enum>(v));
 }
 
-// Read helpers are templated over the reader so the same field sequence
-// parses from a v2 stream (util::BinaryReader) and a v3 section payload
-// (util::SpanReader).
-template <typename Enum, typename Reader>
-void read_enum_vec(Reader& in, std::vector<Enum>& v) {
+template <typename Enum>
+void read_enum_vec(util::SpanReader& in, std::vector<Enum>& v) {
   static_assert(sizeof(Enum) == 1);
-  v = in.template pod_array<Enum>();
+  v = in.pod_array<Enum>();
 }
 
 void write_bool_vec(util::BinaryWriter& out, const std::vector<bool>& v) {
@@ -42,9 +39,8 @@ void write_bool_vec(util::BinaryWriter& out, const std::vector<bool>& v) {
   out.pod_array(std::span<const std::uint8_t>(bytes));
 }
 
-template <typename Reader>
-std::vector<bool> read_bool_vec(Reader& in) {
-  const auto bytes = in.template pod_array<std::uint8_t>();
+std::vector<bool> read_bool_vec(util::SpanReader& in) {
+  const auto bytes = in.pod_array<std::uint8_t>();
   std::vector<bool> v(bytes.size());
   for (std::size_t i = 0; i < bytes.size(); ++i) v[i] = bytes[i] != 0;
   return v;
@@ -77,8 +73,8 @@ void write_reports(util::BinaryWriter& out, const groundtruth::VtDatabase& vt,
   }
 }
 
-template <typename Reader>
-void read_reports(Reader& in, groundtruth::VtDatabase& vt, auto make_id) {
+void read_reports(util::SpanReader& in, groundtruth::VtDatabase& vt,
+                  auto make_id) {
   // Counts validated against the bytes left (minimum record sizes: 1 byte
   // per present-flag, 14 per detection) so a corrupt count is a typed
   // error instead of a giant allocation.
@@ -114,8 +110,7 @@ void write_stats(util::BinaryWriter& out, const Dataset& dataset) {
   out.u64(dataset.transport_stats.corrupted);
 }
 
-template <typename Reader>
-void read_stats(Reader& in, Dataset& ds) {
+void read_stats(util::SpanReader& in, Dataset& ds) {
   ds.collection_stats.accepted = in.u64();
   ds.collection_stats.dropped_not_executed = in.u64();
   ds.collection_stats.dropped_prevalence_cap = in.u64();
@@ -139,7 +134,7 @@ void rebuild_profile(Dataset& ds, double scale, std::uint64_t seed,
   ds.profile.faults = telemetry::parse_fault_profile(fault_spec);
 }
 
-// The six dataset-only v3 sections, appended after the corpus sections.
+// The six dataset-only sections, appended after the corpus sections.
 void write_dataset_sections(util::SectionWriter& sections,
                             util::BinaryWriter& out, const Dataset& dataset) {
   sections.begin(static_cast<std::uint32_t>(SectionKind::kProfile), 0);
@@ -187,7 +182,7 @@ void write_dataset_sections(util::SectionWriter& sections,
   sections.end();
 }
 
-// Parses the six dataset-only sections of a v3 image into `ds` (whose
+// Parses the six dataset-only sections of an image into `ds` (whose
 // corpus must already be loaded — the VT tables size off it). Verifies
 // each section's checksum and releases consumed extents.
 void parse_dataset_sections(std::span<const std::uint8_t> image,
@@ -262,96 +257,9 @@ void parse_dataset_sections(std::span<const std::uint8_t> image,
   }
 }
 
-void save_dataset_v2(const Dataset& dataset, const std::string& path) {
-  util::BinaryWriter out(path);
-  out.u32(kDatasetBinaryMagic);
-  out.u32(2);
-  out.f64(dataset.profile.scale);
-  out.u64(dataset.profile.seed);
-  out.u32(dataset.profile.sigma);
-  // Canonical fault spec ("" = fault-free); parsing it on load rebuilds
-  // the profile, so faulted datasets are cacheable too.
-  out.str(dataset.profile.faults.spec());
-
-  out.u64(telemetry::corpus_fingerprint(dataset.corpus));
-  telemetry::write_corpus_body(out, dataset.corpus);
-
-  const TruthTable& t = dataset.truth;
-  write_enum_vec(out, t.file_nature);
-  write_enum_vec(out, t.file_type);
-  out.pod_array(std::span<const std::uint32_t>(t.file_family));
-  write_bool_vec(out, t.file_family_extractable);
-  write_enum_vec(out, t.file_intended);
-  write_enum_vec(out, t.process_nature);
-  write_enum_vec(out, t.process_type);
-  write_enum_vec(out, t.process_intended);
-
-  write_id_set(out, dataset.whitelist.files());
-  write_id_set(out, dataset.whitelist.processes());
-
-  write_reports(out, dataset.vt, dataset.vt.file_report_count(),
-                [](std::size_t i) {
-                  return model::FileId{static_cast<std::uint32_t>(i)};
-                });
-  write_reports(out, dataset.vt, dataset.vt.process_report_count(),
-                [](std::size_t i) {
-                  return model::ProcessId{static_cast<std::uint32_t>(i)};
-                });
-
-  write_stats(out, dataset);
-  out.write_checksum();
-  out.finish();
-}
-
-Dataset load_dataset_v2(const std::string& path) {
-  util::BinaryReader in(path);
-  if (in.u32() != kDatasetBinaryMagic)
-    throw std::runtime_error("not a dataset binary: " + path);
-  (void)in.u32();  // version, already dispatched on
-  const double scale = in.f64();
-  const std::uint64_t seed = in.u64();
-  const std::uint32_t sigma = in.u32();
-  const std::string fault_spec = in.str();
-
-  Dataset ds;
-  rebuild_profile(ds, scale, seed, sigma, fault_spec);
-
-  const std::uint64_t expected = in.u64();
-  ds.corpus = telemetry::read_corpus_body(in);
-  if (telemetry::corpus_fingerprint(ds.corpus) != expected)
-    throw std::runtime_error("dataset binary fingerprint mismatch: " + path);
-
-  read_enum_vec(in, ds.truth.file_nature);
-  read_enum_vec(in, ds.truth.file_type);
-  ds.truth.file_family = in.pod_array<std::uint32_t>();
-  ds.truth.file_family_extractable = read_bool_vec(in);
-  read_enum_vec(in, ds.truth.file_intended);
-  read_enum_vec(in, ds.truth.process_nature);
-  read_enum_vec(in, ds.truth.process_type);
-  read_enum_vec(in, ds.truth.process_intended);
-
-  for (const std::uint32_t raw : in.pod_array<std::uint32_t>())
-    ds.whitelist.add(model::FileId{raw});
-  for (const std::uint32_t raw : in.pod_array<std::uint32_t>())
-    ds.whitelist.add(model::ProcessId{raw});
-
-  ds.vt.set_file_count(ds.corpus.files.size());
-  ds.vt.set_process_count(ds.corpus.processes.size());
-  read_reports(in, ds.vt, [](std::uint64_t i) {
-    return model::FileId{static_cast<std::uint32_t>(i)};
-  });
-  read_reports(in, ds.vt, [](std::uint64_t i) {
-    return model::ProcessId{static_cast<std::uint32_t>(i)};
-  });
-
-  read_stats(in, ds);
-  in.verify_checksum();
-  return ds;
-}
-
-// Shared v3 load: `zero_copy_events` selects the mapped event-column path
+// Shared load: `zero_copy_events` selects the mapped event-column path
 // (keepalive = the shared image) versus the fully-owned copy.
-Dataset load_dataset_v3(const std::string& path, bool zero_copy_events) {
+Dataset load_dataset(const std::string& path, bool zero_copy_events) {
   auto image = std::make_shared<util::FileImage>(path);
   const auto bytes = image->bytes();
   const SectionTable table(bytes, kDatasetBinaryMagic, kDatasetBinaryVersion,
@@ -391,60 +299,34 @@ Dataset load_dataset_v3(const std::string& path, bool zero_copy_events) {
   return ds;
 }
 
-std::uint32_t peek_dataset_version(const std::string& path) {
-  util::BinaryReader in(path);
-  if (in.u32() != kDatasetBinaryMagic)
-    throw std::runtime_error("not a dataset binary: " + path);
-  return in.u32();
-}
-
 }  // namespace
 
-void save_dataset_binary(const Dataset& dataset, const std::string& path,
-                         std::uint32_t version) {
+void save_dataset_binary(const Dataset& dataset, const std::string& path) {
   LONGTAIL_TRACE_SPAN("synth.save_dataset");
   LONGTAIL_METRIC_TIMER("synth.save_dataset_ms");
-  if (version == 2) {
-    save_dataset_v2(dataset, path);
-  } else if (version == kDatasetBinaryVersion) {
-    util::BinaryWriter out(path);
-    out.reset_region_hash();
-    out.u32(kDatasetBinaryMagic);
-    out.u32(kDatasetBinaryVersion);
-    out.u32(kDatasetSectionCount);
-    out.u32(0);
-    util::SectionWriter sections(out);
-    telemetry::write_corpus_sections(sections, out, dataset.corpus);
-    write_dataset_sections(sections, out, dataset);
-    sections.finish();
-    out.finish();
-  } else {
-    throw std::runtime_error("unsupported dataset binary version " +
-                             std::to_string(version) + ": " + path);
-  }
+  util::BinaryWriter out(path);
+  out.reset_region_hash();
+  out.u32(kDatasetBinaryMagic);
+  out.u32(kDatasetBinaryVersion);
+  out.u32(kDatasetSectionCount);
+  out.u32(0);
+  util::SectionWriter sections(out);
+  telemetry::write_corpus_sections(sections, out, dataset.corpus);
+  write_dataset_sections(sections, out, dataset);
+  sections.finish();
+  out.finish();
 }
 
 Dataset load_dataset_binary(const std::string& path) {
   LONGTAIL_TRACE_SPAN("synth.load_dataset");
   LONGTAIL_METRIC_TIMER("synth.load_dataset_ms");
-  const std::uint32_t version = peek_dataset_version(path);
-  if (version == 2) return load_dataset_v2(path);
-  if (version != kDatasetBinaryVersion)
-    throw std::runtime_error("unsupported dataset binary version " +
-                             std::to_string(version) + ": " + path);
-  return load_dataset_v3(path, /*zero_copy_events=*/false);
+  return load_dataset(path, /*zero_copy_events=*/false);
 }
 
 Dataset load_dataset_mapped(const std::string& path) {
   LONGTAIL_TRACE_SPAN("synth.load_dataset_mapped");
   LONGTAIL_METRIC_TIMER("synth.load_dataset_mapped_ms");
-  const std::uint32_t version = peek_dataset_version(path);
-  // Only v3 is mappable; a v2 file degrades to the owned stream loader.
-  if (version == 2) return load_dataset_v2(path);
-  if (version != kDatasetBinaryVersion)
-    throw std::runtime_error("unsupported dataset binary version " +
-                             std::to_string(version) + ": " + path);
-  return load_dataset_v3(path, /*zero_copy_events=*/true);
+  return load_dataset(path, /*zero_copy_events=*/true);
 }
 
 }  // namespace longtail::synth

@@ -1,9 +1,8 @@
 // Chunked feed from the generator's raw agent stream into the streaming
 // collection server.
 //
-// The batch pipeline materialized the whole delivered stream and handed
-// it to `CollectionServer::filter_transport` in one call. `ChunkedFeed`
-// instead drives `telemetry::StreamingCollectionServer` chunk by chunk:
+// `ChunkedFeed` drives `telemetry::StreamingCollectionServer` chunk by
+// chunk, so ingest never waits for the whole delivered stream:
 //
 //   * fault-free: delivered reports are synthesized on the fly per chunk
 //     (report_id = stream index, arrival = reported time) into a reused
@@ -50,7 +49,7 @@ class ChunkedFeed {
 
   [[nodiscard]] bool done() const noexcept { return pos_ >= total_; }
   [[nodiscard]] std::size_t chunks_fed() const noexcept { return chunks_; }
-  // Zero-valued on the fault-free path, matching the batch pipeline.
+  // Zero-valued on the fault-free path, where nothing crosses a channel.
   [[nodiscard]] const telemetry::TransportStats& transport_stats()
       const noexcept {
     return transport_stats_;

@@ -1255,8 +1255,8 @@ void Generator::finalize_corpus() {
   // Windowed streaming ingest: the chunked feed drives the streaming
   // server (faulted path: dedup → quarantine → reorder → §II-A rules;
   // fault-free path: the trusted fast path) and the corpus is the
-  // concatenation of the closed windows — identical to the old one-shot
-  // batch filter for every window width and chunk size.
+  // concatenation of the closed windows — the same for every window width
+  // and chunk size.
   synth::ChunkedFeed feed(raw_events_, profile_.faults, profile_.seed,
                           synth::ChunkedFeed::chunk_from_env());
   cfg.trusted = feed.trusted();
@@ -1268,13 +1268,7 @@ void Generator::finalize_corpus() {
   server.finish(windows);
   transport_stats_ = feed.transport_stats();
 
-  std::size_t total = 0;
-  for (const auto& w : windows) total += w.events.size();
-  world_.corpus.events.clear();
-  world_.corpus.events.reserve(total);
-  for (const auto& w : windows)
-    for (std::size_t i = 0; i < w.events.size(); ++i)
-      world_.corpus.events.push_back(w.events[i]);
+  world_.corpus.events = telemetry::concat_windows(windows);
 
   world_.corpus.machine_count = world_.num_machines();
   collection_stats_ = server.stats();

@@ -1,7 +1,6 @@
 #include "telemetry/binary.hpp"
 
 #include <cassert>
-#include <cstdio>
 #include <stdexcept>
 
 #include "telemetry/mapped.hpp"
@@ -13,29 +12,6 @@
 namespace longtail::telemetry {
 
 namespace {
-
-// The event columns are written with one bulk copy each; that requires the
-// id wrappers to be layout-identical to their underlying u32.
-static_assert(sizeof(model::FileId) == sizeof(std::uint32_t));
-static_assert(sizeof(model::MachineId) == sizeof(std::uint32_t));
-static_assert(sizeof(model::ProcessId) == sizeof(std::uint32_t));
-static_assert(sizeof(model::UrlId) == sizeof(std::uint32_t));
-static_assert(sizeof(model::Timestamp) == sizeof(std::int64_t));
-
-void write_interner(util::BinaryWriter& out,
-                    const util::StringInterner& interner) {
-  out.u32(static_cast<std::uint32_t>(interner.size()));
-  for (std::uint32_t id = 0; id < interner.size(); ++id)
-    out.str(interner.at(id));
-}
-
-void read_interner(util::BinaryReader& in, util::StringInterner& interner) {
-  const std::uint32_t n = in.u32();
-  for (std::uint32_t id = 0; id < n; ++id) {
-    if (interner.intern(in.str()) != id)
-      throw std::runtime_error("corpus binary: duplicate interned string");
-  }
-}
 
 void mix_interner(util::FnvMixer& mix, const util::StringInterner& interner) {
   mix(interner.size());
@@ -98,207 +74,28 @@ std::uint64_t corpus_fingerprint(const Corpus& corpus) {
   return mix.value();
 }
 
-void write_corpus_body(util::BinaryWriter& out, const Corpus& corpus) {
-  out.u32(corpus.machine_count);
-
-  const EventStore& ev = corpus.events;
-  out.pod_array(ev.file_column());
-  out.pod_array(ev.machine_column());
-  out.pod_array(ev.process_column());
-  out.pod_array(ev.url_column());
-  out.pod_array(ev.time_column());
-  out.pod_array(ev.executed_column());
-
-  out.u64(corpus.files.size());
-  for (const auto& f : corpus.files) {
-    out.u64(f.sha.hi);
-    out.u64(f.sha.lo);
-    out.u64(f.size);
-    out.u8(static_cast<std::uint8_t>((f.is_signed ? 1 : 0) |
-                                     (f.is_packed ? 2 : 0)));
-    out.u32(f.signer.raw());
-    out.u32(f.ca.raw());
-    out.u32(f.packer.raw());
-  }
-
-  out.u64(corpus.processes.size());
-  for (const auto& p : corpus.processes) {
-    out.u64(p.sha.hi);
-    out.u64(p.sha.lo);
-    out.u32(p.name);
-    out.u8(static_cast<std::uint8_t>(p.category));
-    out.u8(static_cast<std::uint8_t>(p.browser));
-    out.u8(static_cast<std::uint8_t>((p.is_signed ? 1 : 0) |
-                                     (p.is_packed ? 2 : 0)));
-    out.u32(p.signer.raw());
-    out.u32(p.ca.raw());
-    out.u32(p.packer.raw());
-  }
-
-  out.u64(corpus.urls.size());
-  for (const auto& u : corpus.urls) {
-    out.u32(u.domain.raw());
-    out.u32(u.alexa_rank);
-  }
-
-  out.u64(corpus.domains.size());
-  for (const auto& d : corpus.domains) {
-    out.u32(d.alexa_rank);
-    out.u8(static_cast<std::uint8_t>((d.on_gsb ? 1 : 0) |
-                                     (d.on_private_blacklist ? 2 : 0) |
-                                     (d.on_curated_whitelist ? 4 : 0)));
-  }
-
-  write_interner(out, corpus.domain_names);
-  write_interner(out, corpus.signer_names);
-  write_interner(out, corpus.ca_names);
-  write_interner(out, corpus.packer_names);
-  write_interner(out, corpus.family_names);
-  write_interner(out, corpus.process_names);
-}
-
-Corpus read_corpus_body(util::BinaryReader& in) {
-  Corpus corpus;
-  corpus.machine_count = in.u32();
-
-  auto file = in.pod_array<model::FileId>();
-  auto machine = in.pod_array<model::MachineId>();
-  auto process = in.pod_array<model::ProcessId>();
-  auto url = in.pod_array<model::UrlId>();
-  auto time = in.pod_array<model::Timestamp>();
-  auto executed = in.pod_array<std::uint8_t>();
-  if (machine.size() != file.size() || process.size() != file.size() ||
-      url.size() != file.size() || time.size() != file.size() ||
-      executed.size() != file.size())
-    throw std::runtime_error("corpus binary: column length mismatch");
-  corpus.events = EventStore::from_columns(
-      std::move(file), std::move(machine), std::move(process), std::move(url),
-      std::move(time), std::move(executed));
-
-  // Record counts are validated against the bytes left in the file (using
-  // each record's minimum serialized size) before resizing — a corrupt
-  // count must be a typed error, not a giant allocation.
-  corpus.files.resize(in.checked_count(in.u64(), 37));
-  for (auto& f : corpus.files) {
-    f.sha.hi = in.u64();
-    f.sha.lo = in.u64();
-    f.size = in.u64();
-    const std::uint8_t flags = in.u8();
-    f.is_signed = (flags & 1) != 0;
-    f.is_packed = (flags & 2) != 0;
-    f.signer = model::SignerId{in.u32()};
-    f.ca = model::CaId{in.u32()};
-    f.packer = model::PackerId{in.u32()};
-  }
-
-  corpus.processes.resize(in.checked_count(in.u64(), 35));
-  for (auto& p : corpus.processes) {
-    p.sha.hi = in.u64();
-    p.sha.lo = in.u64();
-    p.name = in.u32();
-    p.category = static_cast<model::ProcessCategory>(in.u8());
-    p.browser = static_cast<model::BrowserKind>(in.u8());
-    const std::uint8_t flags = in.u8();
-    p.is_signed = (flags & 1) != 0;
-    p.is_packed = (flags & 2) != 0;
-    p.signer = model::SignerId{in.u32()};
-    p.ca = model::CaId{in.u32()};
-    p.packer = model::PackerId{in.u32()};
-  }
-
-  corpus.urls.resize(in.checked_count(in.u64(), 8));
-  for (auto& u : corpus.urls) {
-    u.domain = model::DomainId{in.u32()};
-    u.alexa_rank = in.u32();
-  }
-
-  corpus.domains.resize(in.checked_count(in.u64(), 5));
-  for (auto& d : corpus.domains) {
-    d.alexa_rank = in.u32();
-    const std::uint8_t flags = in.u8();
-    d.on_gsb = (flags & 1) != 0;
-    d.on_private_blacklist = (flags & 2) != 0;
-    d.on_curated_whitelist = (flags & 4) != 0;
-  }
-
-  read_interner(in, corpus.domain_names);
-  read_interner(in, corpus.signer_names);
-  read_interner(in, corpus.ca_names);
-  read_interner(in, corpus.packer_names);
-  read_interner(in, corpus.family_names);
-  read_interner(in, corpus.process_names);
-  return corpus;
-}
-
-namespace {
-
-// The legacy flat-stream load path, kept for v2 files (old caches).
-Corpus load_binary_v2(const std::string& path) {
-  util::BinaryReader in(path);
-  if (in.u32() != kCorpusBinaryMagic)
-    throw std::runtime_error("not a corpus binary: " + path);
-  const std::uint32_t version = in.u32();
-  assert(version == 2);
-  (void)version;
-  const std::uint64_t expected = in.u64();
-  Corpus corpus = read_corpus_body(in);
-  in.verify_checksum();
-  if (corpus_fingerprint(corpus) != expected)
-    throw std::runtime_error("corpus binary fingerprint mismatch: " + path);
-  return corpus;
-}
-
-}  // namespace
-
-void save_binary(const Corpus& corpus, const std::string& path,
-                 std::uint32_t version) {
+void save_binary(const Corpus& corpus, const std::string& path) {
   LONGTAIL_TRACE_SPAN("telemetry.save_binary");
   LONGTAIL_METRIC_TIMER("telemetry.save_binary_ms");
-  if (version == 2) {
-    util::BinaryWriter out(path);
-    out.u32(kCorpusBinaryMagic);
-    out.u32(2);
-    out.u64(corpus_fingerprint(corpus));
-    write_corpus_body(out, corpus);
-    out.write_checksum();
-    out.finish();
-  } else if (version == kCorpusBinaryVersion) {
-    util::BinaryWriter out(path);
-    out.reset_region_hash();
-    out.u32(kCorpusBinaryMagic);
-    out.u32(kCorpusBinaryVersion);
-    out.u32(kCorpusSectionCount);
-    out.u32(0);
-    util::SectionWriter sections(out);
-    write_corpus_sections(sections, out, corpus);
-    assert(sections.section_count() == kCorpusSectionCount);
-    sections.finish();
-    out.finish();
-  } else {
-    throw std::runtime_error("unsupported corpus binary version " +
-                             std::to_string(version) + ": " + path);
-  }
+  util::BinaryWriter out(path);
+  out.reset_region_hash();
+  out.u32(kCorpusBinaryMagic);
+  out.u32(kCorpusBinaryVersion);
+  out.u32(kCorpusSectionCount);
+  out.u32(0);
+  util::SectionWriter sections(out);
+  write_corpus_sections(sections, out, corpus);
+  assert(sections.section_count() == kCorpusSectionCount);
+  sections.finish();
+  out.finish();
   LONGTAIL_METRIC_COUNT("telemetry.io.events_written", corpus.events.size());
 }
 
 Corpus load_binary(const std::string& path) {
   LONGTAIL_TRACE_SPAN("telemetry.load_binary");
   LONGTAIL_METRIC_TIMER("telemetry.load_binary_ms");
-  // Peek magic + version to dispatch; v3 parses from a file image, v2
-  // streams through BinaryReader.
   util::FileImage image(path);
   const auto bytes = image.bytes();
-  if (bytes.size() < 8)
-    throw std::runtime_error("truncated binary file: " + path);
-  util::SpanReader head(bytes.first(8));
-  if (head.u32() != kCorpusBinaryMagic)
-    throw std::runtime_error("not a corpus binary: " + path);
-  const std::uint32_t version = head.u32();
-  if (version == 2) return load_binary_v2(path);
-  if (version != kCorpusBinaryVersion)
-    throw std::runtime_error("unsupported corpus binary version " +
-                             std::to_string(version) + ": " + path);
-
   const SectionTable table(bytes, kCorpusBinaryMagic, kCorpusBinaryVersion,
                            path);
   image.advise_sequential();

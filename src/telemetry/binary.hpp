@@ -3,19 +3,16 @@
 // single bulk copies, so loading a saved corpus is far cheaper than
 // regenerating it (or re-parsing TSV).
 //
-// Version 3 (the current writer) is the *sectioned* layout of
-// telemetry/mapped.hpp (see docs/corpus-format.md):
+// The format is the version-3 *sectioned* layout of telemetry/mapped.hpp
+// (see docs/corpus-format.md):
 //   u32 magic "LTCP" | u32 version | u32 section_count | u32 reserved
 //   | 8-aligned section payloads | section table | u64 table_checksum
 // Every byte is covered by exactly one checksum region (its section's, or
 // the header+table checksum), so corruption anywhere is a typed load
 // error — and a memory-mapped reader can validate the table without
 // faulting a single payload page in. The corpus fingerprint stored in the
-// META section is recomputed by the owned loader and must match.
-//
-// Version 2 (flat stream + whole-file FNV-1a trailer) is still read for
-// compatibility, and `save_binary` can still write it on request; the
-// stream codec lives on as write_corpus_body/read_corpus_body.
+// META section is recomputed by the owned loader and must match. Readers
+// accept exactly version 3; any other version is a typed load error.
 #pragma once
 
 #include <cstdint>
@@ -23,15 +20,10 @@
 
 #include "telemetry/corpus.hpp"
 
-namespace longtail::util {
-class BinaryReader;
-class BinaryWriter;
-}  // namespace longtail::util
-
 namespace longtail::telemetry {
 
 inline constexpr std::uint32_t kCorpusBinaryMagic = 0x5043544CU;  // "LTCP"
-// 2: +whole-file checksum; 3: sectioned, mmap-friendly (mapped.hpp)
+// 3: sectioned, mmap-friendly (mapped.hpp); the only version read
 inline constexpr std::uint32_t kCorpusBinaryVersion = 3;
 
 // Order-sensitive FNV/mix64 fingerprint over every column and metadata
@@ -39,17 +31,9 @@ inline constexpr std::uint32_t kCorpusBinaryVersion = 3;
 // pools, machine_count). Stable across save/load and TSV round-trips.
 [[nodiscard]] std::uint64_t corpus_fingerprint(const Corpus& corpus);
 
-// Writes `version` (3 = sectioned, the default; 2 = the legacy flat
-// stream, kept writable for compatibility tests).
-void save_binary(const Corpus& corpus, const std::string& path,
-                 std::uint32_t version = kCorpusBinaryVersion);
-// Owned load; dispatches on the stored version (2 or 3) and verifies
-// every checksum plus the recomputed corpus fingerprint.
+void save_binary(const Corpus& corpus, const std::string& path);
+// Owned load; verifies the header, every section checksum and the
+// recomputed corpus fingerprint.
 [[nodiscard]] Corpus load_binary(const std::string& path);
-
-// v2 stream-level body codec, shared with the dataset cache
-// (synth/dataset_io.cpp), which embeds a corpus section in its own file.
-void write_corpus_body(util::BinaryWriter& out, const Corpus& corpus);
-[[nodiscard]] Corpus read_corpus_body(util::BinaryReader& in);
 
 }  // namespace longtail::telemetry

@@ -9,13 +9,13 @@
 //   3. the download URL's domain is not on the collection whitelist
 //      (e.g. major-vendor software-update domains).
 //
-// `CollectionServer::filter` replays a raw agent stream through these rules
-// and returns the event list the vendor's dataset would contain, together
-// with drop counters so the filtering behaviour itself is testable.
-//
-// `CollectionServer::filter_transport` is the hardened ingest path for a
-// stream that crossed a faulty channel (telemetry/transport.hpp). Before
-// the §II-A rules it:
+// This header holds the rule configuration (`CollectionPolicy`), the
+// per-rule drop counters (`CollectionStats`) and the bounded prevalence
+// state (`PrevalenceTracker`). The server that applies them is
+// `telemetry::StreamingCollectionServer` (streaming.hpp): its trusted path
+// replays an exactly-once, time-ordered agent stream through the rules;
+// its untrusted path first hardens a stream that crossed a faulty channel
+// (telemetry/transport.hpp):
 //   * drops retransmitted duplicate copies (same report_id — the server
 //     acks every receipt, so a copy whose predecessor was already received
 //     is discarded even if the predecessor was quarantined);
@@ -28,23 +28,14 @@
 //     rather than emitted out of order.
 // Every delivered copy increments exactly one stats counter, so
 // `accepted + all drop/quarantine counters == total_seen()` holds on both
-// ingest paths.
-//
-// Since the streaming refactor, `filter_transport` is a thin batch wrapper
-// around `telemetry::StreamingCollectionServer` (streaming.hpp), which runs
-// the same dedup → quarantine → reorder → §II-A machinery incrementally
-// over delivered chunks and emits closed time-windows.
+// paths.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "model/event.hpp"
 #include "model/ids.hpp"
-#include "telemetry/event_store.hpp"
-#include "telemetry/transport.hpp"
 #include "util/flat_table.hpp"
 
 namespace longtail::telemetry {
@@ -56,7 +47,7 @@ struct CollectionPolicy {
   // major vendors, per §II-A). Probed once per executed event — a
   // FlatSet so the hot path pays one cache line per miss.
   util::FlatSet<model::DomainId> whitelisted_domains;
-  // Reorder-buffer horizon for `filter_transport`, in seconds: an event is
+  // Reorder-buffer horizon of the untrusted path, in seconds: an event is
   // released once the arrival watermark is this far past its reported
   // time. Set from FaultProfile::reorder_horizon_s(); 0 releases
   // immediately (correct when the channel preserves order).
@@ -68,7 +59,7 @@ struct CollectionStats {
   std::uint64_t dropped_not_executed = 0;
   std::uint64_t dropped_prevalence_cap = 0;
   std::uint64_t dropped_whitelisted_url = 0;
-  // filter_transport only: retransmitted copies of a report already
+  // Untrusted path only: retransmitted copies of a report already
   // received, malformed payloads routed to quarantine, and events that
   // arrived too late for the reorder buffer to restore their order.
   std::uint64_t dropped_duplicate = 0;
@@ -148,62 +139,6 @@ class PrevalenceTracker {
   // the §II-A path. Insertion-order iteration keeps saturated_files()
   // deterministic.
   util::FlatMap<std::uint32_t, FileState> files_;
-};
-
-namespace detail {
-
-// §II-A reporting rules for one event. Exactly one stats counter is
-// incremented per call, so counters always sum to the events examined.
-// Shared by the batch filters below and the streaming server.
-void apply_rules(const model::DownloadEvent& e,
-                 std::span<const model::UrlMeta> url_meta,
-                 const CollectionPolicy& policy, CollectionStats& stats,
-                 PrevalenceTracker& prevalence, EventStore& accepted);
-
-// Mirrors a stats delta into the metrics registry (one add per counter,
-// outside the hot loop).
-void record_stats_delta(const CollectionStats& before,
-                        const CollectionStats& after);
-
-}  // namespace detail
-
-class CollectionServer {
- public:
-  explicit CollectionServer(CollectionPolicy policy)
-      : policy_(std::move(policy)), prevalence_(policy_.sigma) {}
-
-  // Replays `raw` (must be time-sorted) through the reporting rules and
-  // returns the accepted stream in columnar form. `url_meta` maps each
-  // UrlId to its DomainId.
-  [[nodiscard]] EventStore filter(std::span<const model::DownloadEvent> raw,
-                                  std::span<const model::UrlMeta> url_meta);
-  // Same rules over an already-columnar stream.
-  [[nodiscard]] EventStore filter(const EventStore& raw,
-                                  std::span<const model::UrlMeta> url_meta);
-
-  // Hardened ingest for a faulty channel: `delivered` must be sorted by
-  // arrival (FaultyTransport::deliver's output order). Runs dedup →
-  // quarantine → bounded reorder → §II-A rules. `num_files` bounds valid
-  // FileIds for payload validation. One-window batch wrapper around
-  // StreamingCollectionServer.
-  [[nodiscard]] EventStore filter_transport(
-      std::span<const DeliveredReport> delivered,
-      std::span<const model::UrlMeta> url_meta, std::size_t num_files);
-
-  [[nodiscard]] const CollectionStats& stats() const noexcept {
-    return stats_;
-  }
-
-  // Distinct machines that downloaded `f` among *accepted* events, capped
-  // at sigma by construction.
-  [[nodiscard]] std::uint32_t reported_prevalence(model::FileId f) const {
-    return prevalence_.prevalence(f);
-  }
-
- private:
-  CollectionPolicy policy_;
-  CollectionStats stats_;
-  PrevalenceTracker prevalence_;
 };
 
 }  // namespace longtail::telemetry

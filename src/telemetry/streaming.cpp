@@ -10,6 +10,69 @@
 
 namespace longtail::telemetry {
 
+namespace {
+
+// §II-A reporting rules for one event. Exactly one stats counter is
+// incremented per call, so counters always sum to the events examined.
+void apply_rules(const model::DownloadEvent& e,
+                 std::span<const model::UrlMeta> url_meta,
+                 const CollectionPolicy& policy, CollectionStats& stats,
+                 PrevalenceTracker& prevalence, EventStore& accepted) {
+  if (!e.executed) {
+    ++stats.dropped_not_executed;
+    return;
+  }
+  assert(e.url.raw() < url_meta.size());
+  const model::DomainId domain = url_meta[e.url.raw()].domain;
+  if (policy.whitelisted_domains.contains(domain)) {
+    ++stats.dropped_whitelisted_url;
+    return;
+  }
+  if (!prevalence.admit(e.file, e.machine)) {
+    ++stats.dropped_prevalence_cap;
+    return;
+  }
+  ++stats.accepted;
+  accepted.push_back(e);
+}
+
+// Mirrors a stats delta into the metrics registry (one add per counter,
+// outside the hot loop).
+void record_stats_delta(const CollectionStats& before,
+                        const CollectionStats& after) {
+  LONGTAIL_METRIC_COUNT("telemetry.events_accepted",
+                        after.accepted - before.accepted);
+  LONGTAIL_METRIC_COUNT(
+      "telemetry.dropped.not_executed",
+      after.dropped_not_executed - before.dropped_not_executed);
+  LONGTAIL_METRIC_COUNT(
+      "telemetry.dropped.whitelisted_url",
+      after.dropped_whitelisted_url - before.dropped_whitelisted_url);
+  LONGTAIL_METRIC_COUNT(
+      "telemetry.dropped.prevalence_cap",
+      after.dropped_prevalence_cap - before.dropped_prevalence_cap);
+  LONGTAIL_METRIC_COUNT("telemetry.dropped.duplicate",
+                        after.dropped_duplicate - before.dropped_duplicate);
+  LONGTAIL_METRIC_COUNT("telemetry.dropped.stale",
+                        after.dropped_stale - before.dropped_stale);
+  LONGTAIL_METRIC_COUNT(
+      "telemetry.quarantine.malformed",
+      after.quarantined_malformed - before.quarantined_malformed);
+}
+
+}  // namespace
+
+EventStore concat_windows(std::span<const EventWindow> windows) {
+  std::size_t total = 0;
+  for (const EventWindow& w : windows) total += w.events.size();
+  EventStore events;
+  events.reserve(total);
+  for (const EventWindow& w : windows)
+    for (std::size_t i = 0; i < w.events.size(); ++i)
+      events.push_back(w.events[i]);
+  return events;
+}
+
 model::Timestamp StreamingConfig::window_from_env() {
   static constexpr model::Timestamp kDefault = 7 * model::kSecondsPerDay;
   const char* env = std::getenv("LONGTAIL_STREAM_WINDOW");
@@ -24,19 +87,7 @@ StreamingCollectionServer::StreamingCollectionServer(
     StreamingConfig cfg, std::span<const model::UrlMeta> url_meta)
     : cfg_(std::move(cfg)),
       url_meta_(url_meta),
-      own_prevalence_(cfg_.policy.sigma),
-      stats_(&own_stats_),
-      prevalence_(&own_prevalence_) {}
-
-StreamingCollectionServer::StreamingCollectionServer(
-    StreamingConfig cfg, std::span<const model::UrlMeta> url_meta,
-    CollectionStats& stats, PrevalenceTracker& prevalence)
-    : cfg_(std::move(cfg)),
-      url_meta_(url_meta),
-      own_prevalence_(0),
-      stats_(&stats),
-      prevalence_(&prevalence),
-      base_seen_(stats.total_seen()) {}
+      prevalence_(cfg_.policy.sigma) {}
 
 model::Timestamp StreamingCollectionServer::window_end(
     std::size_t index) const noexcept {
@@ -76,8 +127,7 @@ void StreamingCollectionServer::release_until(
     // The release sequence is nondecreasing in reported time, so windows
     // wholly behind this event are final — close them before admitting it.
     close_windows_through(e.time, closed);
-    detail::apply_rules(e, url_meta_, cfg_.policy, *stats_, *prevalence_,
-                        open_events_);
+    apply_rules(e, url_meta_, cfg_.policy, stats_, prevalence_, open_events_);
   }
   released_through_ = std::max(released_through_, watermark);
   close_windows_through(released_through_, closed);
@@ -89,7 +139,7 @@ void StreamingCollectionServer::ingest(std::span<const DeliveredReport> chunk,
                              "copies=" + std::to_string(chunk.size()));
   LONGTAIL_METRIC_TIMER("telemetry.stream.ingest_ms");
   LONGTAIL_METRIC_COUNT("telemetry.stream.chunks", 1);
-  const CollectionStats before = *stats_;
+  const CollectionStats before = stats_;
 
   if (cfg_.trusted) {
     // Exactly-once ordered channel: every report is already in reported
@@ -101,20 +151,20 @@ void StreamingCollectionServer::ingest(std::span<const DeliveredReport> chunk,
       const model::DownloadEvent& e = r.event;
       if (e.url.raw() >= url_meta_.size() || e.file.raw() >= cfg_.num_files ||
           e.time < 0 || e.time >= cfg_.period_end) {
-        ++stats_->quarantined_malformed;
+        ++stats_.quarantined_malformed;
         continue;
       }
       if (e.time < released_through_) {
-        ++stats_->dropped_stale;  // feed violated the ordering contract
+        ++stats_.dropped_stale;  // feed violated the ordering contract
         continue;
       }
       close_windows_through(e.time, closed);
       released_through_ = std::max(released_through_, e.time);
-      detail::apply_rules(e, url_meta_, cfg_.policy, *stats_, *prevalence_,
-                          open_events_);
+      apply_rules(e, url_meta_, cfg_.policy, stats_, prevalence_,
+                  open_events_);
     }
     assert(conserved());
-    detail::record_stats_delta(before, *stats_);
+    record_stats_delta(before, stats_);
     return;
   }
 
@@ -133,13 +183,13 @@ void StreamingCollectionServer::ingest(std::span<const DeliveredReport> chunk,
     const DeliveredReport& r = chunk[i];
     ++consumed_;
     if (!dedup_fresh_[i]) {
-      ++stats_->dropped_duplicate;
+      ++stats_.dropped_duplicate;
       continue;
     }
     const model::DownloadEvent& e = r.event;
     if (e.url.raw() >= url_meta_.size() || e.file.raw() >= cfg_.num_files ||
         e.time < 0 || e.time >= cfg_.period_end) {
-      ++stats_->quarantined_malformed;
+      ++stats_.quarantined_malformed;
       continue;
     }
     // Advance the arrival watermark, then admit the new event — or drop
@@ -148,7 +198,7 @@ void StreamingCollectionServer::ingest(std::span<const DeliveredReport> chunk,
         static_cast<model::Timestamp>(cfg_.policy.reorder_horizon_s);
     release_until(r.arrival - horizon, closed);
     if (e.time < released_through_) {
-      ++stats_->dropped_stale;
+      ++stats_.dropped_stale;
       continue;
     }
     pending_.emplace(std::make_pair(e.time, r.report_id), e);
@@ -157,18 +207,18 @@ void StreamingCollectionServer::ingest(std::span<const DeliveredReport> chunk,
   assert(conserved());
   LONGTAIL_METRIC_GAUGE("telemetry.stream.pending",
                         static_cast<std::int64_t>(pending_.size()));
-  detail::record_stats_delta(before, *stats_);
+  record_stats_delta(before, stats_);
 }
 
 void StreamingCollectionServer::finish(std::vector<EventWindow>& closed) {
   if (finished_) return;
   finished_ = true;
   LONGTAIL_TRACE_SPAN("telemetry.stream_finish");
-  const CollectionStats before = *stats_;
+  const CollectionStats before = stats_;
   release_until(std::numeric_limits<model::Timestamp>::max(), closed);
   assert(pending_.empty());
   assert(conserved());
-  detail::record_stats_delta(before, *stats_);
+  record_stats_delta(before, stats_);
 }
 
 }  // namespace longtail::telemetry

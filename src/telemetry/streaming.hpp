@@ -1,11 +1,11 @@
-// Windowed streaming ingest for the collection server.
+// Windowed streaming ingest: the collection server.
 //
-// `StreamingCollectionServer` is the long-lived form of
-// `CollectionServer::filter_transport`: it consumes `DeliveredReport`
-// chunks incrementally (the chunks must partition an arrival-sorted
-// stream, i.e. FaultyTransport::deliver output split at any boundaries)
-// and emits *closed time-windows* of accepted events as the arrival
-// watermark advances. The PR 4 bounded reorder buffer is the
+// `StreamingCollectionServer` applies the §II-A reporting rules
+// (collection.hpp) to a delivered report stream. It consumes
+// `DeliveredReport` chunks incrementally (the chunks must partition an
+// arrival-sorted stream, i.e. FaultyTransport::deliver output split at any
+// boundaries) and emits *closed time-windows* of accepted events as the
+// arrival watermark advances. The bounded reorder buffer is the
 // window-advance primitive: window k = [k·W, (k+1)·W) (clipped to the
 // collection period) closes exactly when the watermark guarantees no
 // event with a reported time inside it can still be admitted — events
@@ -13,15 +13,15 @@
 // `watermark() >= window.end` the window's contents are final.
 //
 // Within a window, events appear in (time, report_id) release order; the
-// concatenation of all closed windows is byte-identical to what the batch
-// `filter_transport` returns for the whole stream, for every chunking and
-// every window width — windowing only partitions the release sequence, it
-// never reorders it.
+// concatenation of all closed windows (`concat_windows`) is the same for
+// every chunking and every window width, including `window_s = 0`, the
+// single window over the whole period — windowing only partitions the
+// release sequence, it never reorders it.
 //
 // The §II-A conservation law holds at every watermark, not just at
 // end-of-stream: every consumed copy is either counted by exactly one
 // `CollectionStats` counter or still held in the reorder buffer, i.e.
-//   consumed() == (stats().total_seen() - base_seen) + pending().
+//   consumed() == stats().total_seen() + pending().
 // `conserved()` checks this invariant.
 #pragma once
 
@@ -44,7 +44,7 @@ namespace longtail::telemetry {
 struct StreamingConfig {
   CollectionPolicy policy;
   // Window width in seconds; <= 0 means a single window spanning the
-  // whole collection period (the batch wrapper uses that).
+  // whole collection period.
   model::Timestamp window_s = 0;
   // Valid FileIds are [0, num_files) — payload validation bound.
   std::size_t num_files = 0;
@@ -59,7 +59,8 @@ struct StreamingConfig {
   // untrusted path's, without the per-report hash/map cost.
   bool trusted = false;
 
-  // Reads LONGTAIL_STREAM_WINDOW (seconds); defaults to 7 days.
+  // Reads LONGTAIL_STREAM_WINDOW (seconds). Unset, empty, non-numeric
+  // and non-positive values all give the 7-day default.
   static model::Timestamp window_from_env();
 };
 
@@ -71,19 +72,14 @@ struct EventWindow {
   EventStore events;         // in (time, report_id) release order
 };
 
+// The accepted stream so far: the events of `windows`, in window order.
+[[nodiscard]] EventStore concat_windows(std::span<const EventWindow> windows);
+
 class StreamingCollectionServer {
  public:
-  // Owns its stats and prevalence state. `url_meta` is borrowed and must
-  // outlive the server.
+  // `url_meta` is borrowed and must outlive the server.
   StreamingCollectionServer(StreamingConfig cfg,
                             std::span<const model::UrlMeta> url_meta);
-  // Borrows an existing server's stats and prevalence state — the batch
-  // `CollectionServer::filter_transport` wrapper uses this so one-shot
-  // replay and streaming ingest share every side effect.
-  StreamingCollectionServer(StreamingConfig cfg,
-                            std::span<const model::UrlMeta> url_meta,
-                            CollectionStats& stats,
-                            PrevalenceTracker& prevalence);
 
   StreamingCollectionServer(const StreamingCollectionServer&) = delete;
   StreamingCollectionServer& operator=(const StreamingCollectionServer&) =
@@ -99,7 +95,7 @@ class StreamingCollectionServer {
   void finish(std::vector<EventWindow>& closed);
 
   [[nodiscard]] const CollectionStats& stats() const noexcept {
-    return *stats_;
+    return stats_;
   }
   // Delivered copies consumed so far.
   [[nodiscard]] std::uint64_t consumed() const noexcept { return consumed_; }
@@ -115,22 +111,23 @@ class StreamingCollectionServer {
   [[nodiscard]] std::size_t windows_closed() const noexcept {
     return next_window_;
   }
+  // Distinct machines that downloaded `f` among *accepted* events, capped
+  // at sigma by construction.
   [[nodiscard]] std::uint32_t reported_prevalence(model::FileId f) const {
-    return prevalence_->prevalence(f);
+    return prevalence_.prevalence(f);
   }
   // σ-cap saturation over everything admitted so far (see
   // PrevalenceTracker::saturated_files).
   [[nodiscard]] std::uint64_t sigma_saturated_files() const {
-    return prevalence_->saturated_files();
+    return prevalence_.saturated_files();
   }
   [[nodiscard]] std::uint64_t sigma_tracked_files() const {
-    return prevalence_->tracked_files();
+    return prevalence_.tracked_files();
   }
 
   // Conservation law at the current watermark (see file comment).
   [[nodiscard]] bool conserved() const noexcept {
-    return consumed_ ==
-           (stats_->total_seen() - base_seen_) + pending_.size();
+    return consumed_ == stats_.total_seen() + pending();
   }
 
  private:
@@ -143,11 +140,8 @@ class StreamingCollectionServer {
   StreamingConfig cfg_;
   std::span<const model::UrlMeta> url_meta_;
 
-  CollectionStats own_stats_;
-  PrevalenceTracker own_prevalence_;
-  CollectionStats* stats_;
-  PrevalenceTracker* prevalence_;
-  std::uint64_t base_seen_ = 0;  // borrowed stats may start non-zero
+  CollectionStats stats_;
+  PrevalenceTracker prevalence_;
 
   // Retransmit dedup: one membership probe per delivered copy. Ingest
   // batch-inserts a whole chunk's report ids through the prefetch queue

@@ -1,10 +1,11 @@
 // Deterministic fault-injection transport between the software agents and
 // the collection server.
 //
-// The seed pipeline hands the raw agent event stream to
-// `CollectionServer::filter` as if every report arrived exactly once, in
-// perfect time order, uncorrupted. `FaultyTransport` replays the same
-// stream through a simulated lossy channel instead (§II-A's SA→CS hop):
+// The fault-free pipeline hands the raw agent event stream to the
+// trusted path of `StreamingCollectionServer` (streaming.hpp) as if every
+// report arrived exactly once, in perfect time order, uncorrupted.
+// `FaultyTransport` replays the same stream through a simulated lossy
+// channel instead (§II-A's SA→CS hop):
 //
 //   * each report carries a unique `report_id` (its index in the raw
 //     stream — the agent's sequence number);

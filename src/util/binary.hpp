@@ -1,17 +1,15 @@
-// Minimal binary stream helpers for the compact corpus format
-// (telemetry/binary.cpp) and the dataset cache (synth/dataset_io.cpp).
+// Minimal binary stream helpers for the sectioned LTCP/LTDS formats
+// (telemetry/binary.cpp, telemetry/mapped.cpp, synth/dataset_io.cpp).
 //
 // Fixed-width little-endian integers, length-prefixed strings, and bulk
 // POD-array copies. The format is only written and read on little-endian
 // hosts (enforced below), so values are stored in native byte order.
 //
-// Both ends keep a running FNV-1a hash of every byte written/read. A
-// format ends its file with `write_checksum()` (the hash as a trailing
-// u64, itself unhashed) and its loader ends with `verify_checksum()` —
-// any bit flip or truncation anywhere in the image then fails with a
-// typed std::runtime_error instead of loading silently-corrupt data.
-// (The corpus fingerprint only covers the corpus section; the checksum
-// covers everything, including truth/whitelist/VT sections.)
+// `BinaryWriter` streams a file and keeps an FNV-1a hash over a
+// caller-delimited region; `SectionWriter` turns those regions into
+// per-section checksums. Readers parse a file image in memory through
+// `SpanReader`, after `telemetry::SectionTable` has validated the table
+// of contents (see docs/corpus-format.md).
 #pragma once
 
 #include <bit>
@@ -77,7 +75,6 @@ class BinaryWriter {
   }
 
   void bytes(const void* p, std::size_t n) {
-    hash_ = fnv1a_bytes(hash_, p, n);
     region_hash_ = fnv1a_bytes(region_hash_, p, n);
     tell_ += n;
     out_.write(static_cast<const char*>(p),
@@ -95,25 +92,14 @@ class BinaryWriter {
     if (pad != 0) bytes(kZeros, static_cast<std::size_t>(pad));
   }
 
-  // Secondary FNV-1a hash over a caller-delimited byte region — the
-  // sectioned formats use it for per-section checksums, independent of
-  // the whole-file running hash.
+  // FNV-1a hash over a caller-delimited byte region — the sectioned
+  // formats use it for per-section checksums.
   void reset_region_hash(std::uint64_t seed = kFnvOffset) noexcept {
     region_hash_ = seed;
   }
   [[nodiscard]] std::uint64_t region_hash() const noexcept {
     return region_hash_;
   }
-
-  // Appends the running whole-file hash as a trailing u64 (excluded from
-  // the hash itself). Call last, just before finish().
-  void write_checksum() {
-    const std::uint64_t h = hash_;
-    out_.write(reinterpret_cast<const char*>(&h), sizeof h);
-    if (!out_) throw std::runtime_error("write failed: " + path_);
-  }
-
-  [[nodiscard]] std::uint64_t checksum() const noexcept { return hash_; }
 
   void finish() {
     out_.flush();
@@ -123,7 +109,6 @@ class BinaryWriter {
  private:
   std::string path_;
   std::ofstream out_;
-  std::uint64_t hash_ = kFnvOffset;
   std::uint64_t region_hash_ = kFnvOffset;
   std::uint64_t tell_ = 0;
 };
@@ -195,92 +180,11 @@ class SectionWriter {
   std::vector<Entry> entries_;
 };
 
-class BinaryReader {
- public:
-  explicit BinaryReader(const std::string& path)
-      : path_(path), in_(path, std::ios::binary) {
-    if (!in_) throw std::runtime_error("cannot read " + path);
-  }
-
-  [[nodiscard]] std::uint8_t u8() { return read_pod<std::uint8_t>(); }
-  [[nodiscard]] std::uint16_t u16() { return read_pod<std::uint16_t>(); }
-  [[nodiscard]] std::uint32_t u32() { return read_pod<std::uint32_t>(); }
-  [[nodiscard]] std::uint64_t u64() { return read_pod<std::uint64_t>(); }
-  [[nodiscard]] std::int64_t i64() { return read_pod<std::int64_t>(); }
-  [[nodiscard]] double f64() { return read_pod<double>(); }
-
-  [[nodiscard]] std::string str() {
-    std::string s(checked_count(u32(), 1), '\0');
-    bytes(s.data(), s.size());
-    return s;
-  }
-
-  template <typename T>
-  [[nodiscard]] std::vector<T> pod_array() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<T> v(checked_count(u64(), sizeof(T)));
-    bytes(v.data(), v.size() * sizeof(T));
-    return v;
-  }
-
-  void bytes(void* p, std::size_t n) {
-    in_.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in_.gcount()) != n)
-      throw std::runtime_error("truncated binary file: " + path_);
-    hash_ = fnv1a_bytes(hash_, p, n);
-  }
-
-  // Reads the trailing u64 written by BinaryWriter::write_checksum and
-  // compares it against the running hash of every byte read so far. Call
-  // after the last field of the format.
-  void verify_checksum() {
-    const std::uint64_t expected = hash_;
-    std::uint64_t stored = 0;
-    in_.read(reinterpret_cast<char*>(&stored), sizeof stored);
-    if (static_cast<std::size_t>(in_.gcount()) != sizeof stored)
-      throw std::runtime_error("truncated binary file: " + path_);
-    if (stored != expected)
-      throw std::runtime_error("binary file checksum mismatch: " + path_);
-  }
-
-  [[nodiscard]] std::uint64_t checksum() const noexcept { return hash_; }
-
-  // Reject counts that would outrun the file — a corrupt header must fail
-  // with a clean error, not an allocation blow-up. `elem_size` is a lower
-  // bound on the serialized bytes per element; formats that read N
-  // variable-size records call this before resizing containers by N.
-  [[nodiscard]] std::size_t checked_count(std::uint64_t n,
-                                          std::size_t elem_size) {
-    if (remaining_ == static_cast<std::uintmax_t>(-1)) {
-      const auto pos = in_.tellg();
-      in_.seekg(0, std::ios::end);
-      remaining_ = static_cast<std::uintmax_t>(in_.tellg());
-      in_.seekg(pos);
-    }
-    if (elem_size != 0 && n > remaining_ / elem_size)
-      throw std::runtime_error("corrupt binary file (bad count): " + path_);
-    return static_cast<std::size_t>(n);
-  }
-
- private:
-  template <typename T>
-  [[nodiscard]] T read_pod() {
-    T v;
-    bytes(&v, sizeof v);
-    return v;
-  }
-
-  std::string path_;
-  std::ifstream in_;
-  std::uintmax_t remaining_ = static_cast<std::uintmax_t>(-1);
-  std::uint64_t hash_ = kFnvOffset;
-};
-
 // Cursor over an in-memory byte range — the reader half of the sectioned
-// formats, where payloads are parsed out of a file mapping instead of a
-// stream. Same field vocabulary as BinaryReader; every read is bounds-
-// checked against the section extent, so a corrupt length field inside a
-// section is a typed error, never an out-of-bounds read.
+// formats, where payloads are parsed out of a file mapping. Same field
+// vocabulary as BinaryWriter; every read is bounds-checked against the
+// section extent, so a corrupt length field inside a section is a typed
+// error, never an out-of-bounds read.
 class SpanReader {
  public:
   explicit SpanReader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -319,7 +223,7 @@ class SpanReader {
     return {p, n};
   }
 
-  // Owning variant, mirroring BinaryReader::pod_array's shape: u64 count
+  // Owning variant, mirroring BinaryWriter::pod_array's shape: u64 count
   // then the raw elements.
   template <typename T>
   [[nodiscard]] std::vector<T> pod_array() {

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
+
+#include "util/json.hpp"
 
 namespace longtail::util::metrics {
 
@@ -73,12 +74,6 @@ std::size_t bucket_for_ms(double ms) {
 
 double bucket_upper_ms(std::size_t b) {
   return static_cast<double>(1ULL << b) / 1000.0;
-}
-
-void append_number(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -210,45 +205,27 @@ Histogram& histogram(std::string_view name) {
 std::string snapshot_json() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);
-  std::string out = "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : r.counters) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + name + "\": " + std::to_string(c->value());
-  }
-  out += "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : r.gauges) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + name + "\": ";
-    append_number(out, g->value());
-  }
-  out += "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : r.histograms) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + name + "\": {\"count\": " + std::to_string(h->count()) +
-           ", \"sum_ms\": ";
-    append_number(out, h->sum_ms());
-    out += ", \"mean_ms\": ";
-    append_number(out, h->mean_ms());
-    out += ", \"min_ms\": ";
-    append_number(out, h->min_ms());
-    out += ", \"max_ms\": ";
-    append_number(out, h->max_ms());
-    out += ", \"p50_ms\": ";
-    append_number(out, h->quantile_ms(0.50));
-    out += ", \"p90_ms\": ";
-    append_number(out, h->quantile_ms(0.90));
-    out += ", \"p99_ms\": ";
-    append_number(out, h->quantile_ms(0.99));
-    out += "}";
-  }
-  out += "}}";
-  return out;
+  json::Object counters;
+  for (const auto& [name, c] : r.counters) counters.field(name, c->value());
+  json::Object gauges;
+  for (const auto& [name, g] : r.gauges) gauges.field(name, g->value());
+  json::Object histograms;
+  for (const auto& [name, h] : r.histograms)
+    histograms.raw(name, json::Object()
+                             .field("count", h->count())
+                             .field("sum_ms", h->sum_ms())
+                             .field("mean_ms", h->mean_ms())
+                             .field("min_ms", h->min_ms())
+                             .field("max_ms", h->max_ms())
+                             .field("p50_ms", h->quantile_ms(0.50))
+                             .field("p90_ms", h->quantile_ms(0.90))
+                             .field("p99_ms", h->quantile_ms(0.99))
+                             .str());
+  return json::Object()
+      .raw("counters", counters.str())
+      .raw("gauges", gauges.str())
+      .raw("histograms", histograms.str())
+      .str();
 }
 
 void reset_for_testing() {

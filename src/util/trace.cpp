@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 
+#include "util/json.hpp"
 #include "util/profile.hpp"
 #include "util/thread_pool.hpp"
 
@@ -81,26 +82,6 @@ bool init_from_env() {
     return true;
   }
   return false;
-}
-
-// Escapes a string for embedding in a JSON string literal.
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -237,7 +218,7 @@ std::string render_json() {
   }
   for (const auto& e : events) {
     std::string row = "{\"name\": \"";
-    append_escaped(row, e.name);
+    json::append_escaped(row, e.name);
     char mid[192];
     if (e.is_counter) {
       std::snprintf(mid, sizeof(mid),
@@ -267,7 +248,7 @@ std::string render_json() {
     }
     if (!e.detail.empty()) {
       row += ", \"detail\": \"";
-      append_escaped(row, e.detail);
+      json::append_escaped(row, e.detail);
       row += "\"";
     }
     row += "}}";

@@ -2,192 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace longtail::util::trace_analysis {
 
 namespace {
-
-// ---- minimal JSON reader --------------------------------------------------
-
-struct JVal {
-  enum Kind { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = kNull;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<JVal> arr;
-  std::vector<std::pair<std::string, JVal>> obj;
-
-  [[nodiscard]] const JVal* find(std::string_view key) const {
-    for (const auto& [k, v] : obj)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  [[nodiscard]] double num_or(double fallback) const {
-    return kind == kNum ? num : fallback;
-  }
-  [[nodiscard]] std::string_view str_or(std::string_view fallback) const {
-    return kind == kStr ? std::string_view(str) : fallback;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(std::string_view s)
-      : begin_(s.data()), p_(s.data()), end_(s.data() + s.size()) {}
-
-  JVal parse() {
-    JVal v = value();
-    skip_ws();
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "trace JSON: %s at offset %zu", what,
-                  static_cast<std::size_t>(p_ - begin_));
-    throw std::runtime_error(buf);
-  }
-
-  void skip_ws() {
-    while (p_ < end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                         *p_ == '\r'))
-      ++p_;
-  }
-
-  char peek() {
-    skip_ws();
-    if (p_ >= end_) fail("unexpected end");
-    return *p_;
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++p_;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (static_cast<std::size_t>(end_ - p_) < lit.size() ||
-        std::string_view(p_, lit.size()) != lit)
-      return false;
-    p_ += lit.size();
-    return true;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (p_ < end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (p_ >= end_) fail("bad escape");
-      switch (*p_++) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (end_ - p_ < 4) fail("bad \\u escape");
-          char hex[5] = {p_[0], p_[1], p_[2], p_[3], '\0'};
-          const long cp = std::strtol(hex, nullptr, 16);
-          p_ += 4;
-          // Traces only escape control characters; anything wider is
-          // preserved as '?' rather than re-encoded.
-          out += cp < 0x80 ? static_cast<char>(cp) : '?';
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-    if (p_ >= end_) fail("unterminated string");
-    ++p_;  // closing quote
-    return out;
-  }
-
-  JVal value() {
-    const char c = peek();
-    JVal v;
-    if (c == '{') {
-      ++p_;
-      v.kind = JVal::kObj;
-      if (peek() == '}') {
-        ++p_;
-        return v;
-      }
-      for (;;) {
-        skip_ws();
-        std::string key = string_body();
-        expect(':');
-        v.obj.emplace_back(std::move(key), value());
-        const char n = peek();
-        if (n == ',') {
-          ++p_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      ++p_;
-      v.kind = JVal::kArr;
-      if (peek() == ']') {
-        ++p_;
-        return v;
-      }
-      for (;;) {
-        v.arr.push_back(value());
-        const char n = peek();
-        if (n == ',') {
-          ++p_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.kind = JVal::kStr;
-      v.str = string_body();
-      return v;
-    }
-    skip_ws();
-    if (consume_literal("true")) {
-      v.kind = JVal::kBool;
-      v.b = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      v.kind = JVal::kBool;
-      return v;
-    }
-    if (consume_literal("null")) return v;
-    char* num_end = nullptr;
-    v.num = std::strtod(p_, &num_end);
-    if (num_end == p_) fail("expected a value");
-    v.kind = JVal::kNum;
-    p_ = num_end;
-    return v;
-  }
-
-  const char* begin_;
-  const char* p_;
-  const char* end_;
-};
-
-// ---- analysis -------------------------------------------------------------
 
 struct SpanRec {
   std::string name;
@@ -214,44 +37,77 @@ double subtree_pool_busy(const std::vector<SpanRec>& spans, std::size_t i) {
   return busy;
 }
 
-void append_number(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
+json::Object to_json(const CritStep& s) {
+  return json::Object()
+      .field("name", s.name)
+      .field("tid", s.tid)
+      .field("start_ms", s.start_ms)
+      .field("dur_ms", s.dur_ms)
+      .field("tail_ms", s.tail_ms);
 }
 
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+json::Object to_json(const NameStat& s) {
+  json::Object o;
+  o.field("name", s.name)
+      .field("count", s.count)
+      .field("total_ms", s.total_ms)
+      .field("self_ms", s.self_ms)
+      .field("max_ms", s.max_ms);
+  if (s.cpu_ms >= 0) o.field("cpu_ms", s.cpu_ms);
+  return o;
+}
+
+json::Object to_json(const PhaseStat& p) {
+  return json::Object()
+      .field("name", p.name)
+      .field("start_ms", p.start_ms)
+      .field("wall_ms", p.wall_ms)
+      .field("busy_ms", p.busy_ms)
+      .field("efficiency", p.efficiency);
+}
+
+json::Object to_json(const CounterStat& c) {
+  return json::Object()
+      .field("name", c.name)
+      .field("samples", c.samples)
+      .field("min", c.min)
+      .field("max", c.max)
+      .field("last", c.last);
+}
+
+template <typename T>
+std::string array_of(const std::vector<T>& items) {
+  std::string out = "[";
+  for (const T& item : items) {
+    if (out.size() > 1) out += ", ";
+    out += to_json(item).str();
   }
-  out += '"';
+  return out + "]";
 }
 
 }  // namespace
 
 Report analyze(std::string_view trace_json, std::size_t top_n) {
-  const JVal doc = Parser(trace_json).parse();
-  const JVal* events = doc.find("traceEvents");
-  if (events == nullptr || events->kind != JVal::kArr)
+  const json::Value doc = json::parse(trace_json);
+  const json::Value* events = doc.find("traceEvents");
+  if (events == nullptr || events->kind != json::Value::kArr)
     throw std::runtime_error("trace JSON: no traceEvents array");
 
   Report report;
   std::vector<SpanRec> spans;
   std::map<std::string, CounterStat> counters;
 
-  for (const JVal& e : events->arr) {
-    if (e.kind != JVal::kObj) continue;
-    const JVal* ph = e.find("ph");
-    const JVal* name = e.find("name");
+  for (const json::Value& e : events->arr) {
+    if (e.kind != json::Value::kObj) continue;
+    const json::Value* ph = e.find("ph");
+    const json::Value* name = e.find("name");
     if (ph == nullptr || name == nullptr) continue;
     const std::string_view kind = ph->str_or("");
-    const JVal* args = e.find("args");
+    const json::Value* args = e.find("args");
     if (kind == "M") {
       if (name->str_or("") == "thread_name" && args != nullptr) {
         ++report.thread_count;
-        const JVal* tname = args->find("name");
+        const json::Value* tname = args->find("name");
         if (tname != nullptr && tname->str_or("").substr(0, 6) == "worker")
           ++report.worker_count;
       }
@@ -278,18 +134,19 @@ Report analyze(std::string_view trace_json, std::size_t top_n) {
     if (kind != "X") continue;  // instants don't carry duration
     SpanRec s;
     s.name = name->str_or("");
-    const JVal* ts = e.find("ts");
-    const JVal* dur = e.find("dur");
-    const JVal* tid = e.find("tid");
+    const json::Value* ts = e.find("ts");
+    const json::Value* dur = e.find("dur");
+    const json::Value* tid = e.find("tid");
     s.start_ms = (ts != nullptr ? ts->num_or(0) : 0) / 1000.0;
     s.dur_ms = (dur != nullptr ? dur->num_or(0) : 0) / 1000.0;
     s.tid = tid != nullptr ? static_cast<std::uint32_t>(tid->num_or(0)) : 0;
     if (args != nullptr) {
-      if (const JVal* id = args->find("id"))
+      if (const json::Value* id = args->find("id"))
         s.id = static_cast<std::uint64_t>(id->num_or(0));
-      if (const JVal* parent = args->find("parent"))
+      if (const json::Value* parent = args->find("parent"))
         s.parent = static_cast<std::uint64_t>(parent->num_or(0));
-      if (const JVal* cpu = args->find("cpu_ms")) s.cpu_ms = cpu->num_or(-1);
+      if (const json::Value* cpu = args->find("cpu_ms"))
+        s.cpu_ms = cpu->num_or(-1);
     }
     spans.push_back(std::move(s));
   }
@@ -459,75 +316,16 @@ std::string render_markdown(const Report& r) {
 }
 
 std::string render_json(const Report& r) {
-  std::string out = "{\"spans\": " + std::to_string(r.span_count) +
-                    ", \"threads\": " + std::to_string(r.thread_count) +
-                    ", \"workers\": " + std::to_string(r.worker_count) +
-                    ", \"wall_ms\": ";
-  append_number(out, r.wall_ms);
-  out += ", \"critical_path\": [";
-  for (std::size_t i = 0; i < r.critical_path.size(); ++i) {
-    const CritStep& s = r.critical_path[i];
-    if (i > 0) out += ", ";
-    out += "{\"name\": ";
-    append_quoted(out, s.name);
-    out += ", \"tid\": " + std::to_string(s.tid) + ", \"start_ms\": ";
-    append_number(out, s.start_ms);
-    out += ", \"dur_ms\": ";
-    append_number(out, s.dur_ms);
-    out += ", \"tail_ms\": ";
-    append_number(out, s.tail_ms);
-    out += "}";
-  }
-  out += "], \"hotspots\": [";
-  for (std::size_t i = 0; i < r.hotspots.size(); ++i) {
-    const NameStat& s = r.hotspots[i];
-    if (i > 0) out += ", ";
-    out += "{\"name\": ";
-    append_quoted(out, s.name);
-    out += ", \"count\": " + std::to_string(s.count) + ", \"total_ms\": ";
-    append_number(out, s.total_ms);
-    out += ", \"self_ms\": ";
-    append_number(out, s.self_ms);
-    out += ", \"max_ms\": ";
-    append_number(out, s.max_ms);
-    if (s.cpu_ms >= 0) {
-      out += ", \"cpu_ms\": ";
-      append_number(out, s.cpu_ms);
-    }
-    out += "}";
-  }
-  out += "], \"phases\": [";
-  for (std::size_t i = 0; i < r.phases.size(); ++i) {
-    const PhaseStat& p = r.phases[i];
-    if (i > 0) out += ", ";
-    out += "{\"name\": ";
-    append_quoted(out, p.name);
-    out += ", \"start_ms\": ";
-    append_number(out, p.start_ms);
-    out += ", \"wall_ms\": ";
-    append_number(out, p.wall_ms);
-    out += ", \"busy_ms\": ";
-    append_number(out, p.busy_ms);
-    out += ", \"efficiency\": ";
-    append_number(out, p.efficiency);
-    out += "}";
-  }
-  out += "], \"counters\": [";
-  for (std::size_t i = 0; i < r.counters.size(); ++i) {
-    const CounterStat& c = r.counters[i];
-    if (i > 0) out += ", ";
-    out += "{\"name\": ";
-    append_quoted(out, c.name);
-    out += ", \"samples\": " + std::to_string(c.samples) + ", \"min\": ";
-    append_number(out, c.min);
-    out += ", \"max\": ";
-    append_number(out, c.max);
-    out += ", \"last\": ";
-    append_number(out, c.last);
-    out += "}";
-  }
-  out += "]}";
-  return out;
+  return json::Object()
+      .field("spans", r.span_count)
+      .field("threads", r.thread_count)
+      .field("workers", r.worker_count)
+      .field("wall_ms", r.wall_ms)
+      .raw("critical_path", array_of(r.critical_path))
+      .raw("hotspots", array_of(r.hotspots))
+      .raw("phases", array_of(r.phases))
+      .raw("counters", array_of(r.counters))
+      .str();
 }
 
 }  // namespace longtail::util::trace_analysis

@@ -19,8 +19,9 @@
 //   * counter-series summaries (the profile sampler's RSS/fault/context-
 //     switch tracks).
 //
-// The parser is a small recursive-descent JSON reader, tolerant of any
-// formatting (jq-pretty-printed traces parse the same as ours).
+// The document is read with the strict parser of util/json.hpp, which
+// accepts any whitespace layout (jq-pretty-printed traces parse the same
+// as ours) and rejects malformed or hostile input.
 #pragma once
 
 #include <cstdint>

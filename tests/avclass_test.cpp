@@ -83,15 +83,11 @@ std::vector<std::string> candidate_tokens(std::string_view label) {
   return out;
 }
 
-FamilyResult derive(const VtReport& report, int min_support = 2,
-                    const std::vector<std::string>& extra_generics = {}) {
+FamilyResult derive(const VtReport& report, int min_support = 2) {
   std::map<std::string, int> votes;
   for (const auto& det : report.detections) {
     std::set<std::string> seen;
     for (auto& token : candidate_tokens(det.label)) {
-      if (std::find(extra_generics.begin(), extra_generics.end(), token) !=
-          extra_generics.end())
-        continue;
       if (seen.insert(token).second) ++votes[token];
     }
   }
@@ -206,58 +202,14 @@ TEST(FamilyExtractor, EndToEndWithGeneratedLabels) {
   EXPECT_EQ(result.family, "upatre");
 }
 
-TEST(GenericTokenLearner, FlagsUbiquitousTokens) {
-  GenericTokenLearner learner;
-  // "cloudscan" appears on every sample; real family tokens concentrate.
-  for (int i = 0; i < 100; ++i) {
-    VtReport r;
-    r.detections.push_back(
-        {0, "Trojan:Win32/Cloudscan.fam" + std::to_string(i % 10) + "x"});
-    r.detections.push_back({20, "Gen:Variant.Cloudscan.1"});
-    learner.observe(r);
-  }
-  const auto generics = learner.learn(0.5, 10);
-  ASSERT_EQ(generics.size(), 1u);
-  EXPECT_EQ(generics[0], "cloudscan");
-}
-
-TEST(GenericTokenLearner, RespectsMinSamples) {
-  GenericTokenLearner learner;
-  for (int i = 0; i < 5; ++i) {
-    VtReport r;
-    r.detections.push_back({0, "Trojan:Win32/Rareball.a"});
-    learner.observe(r);
-  }
-  // 100% of samples, but below min_samples: not declared generic.
-  EXPECT_TRUE(learner.learn(0.5, 10).empty());
-  EXPECT_EQ(learner.samples_observed(), 5u);
-}
-
-TEST(GenericTokenLearner, LearnedGenericsImproveExtraction) {
-  // A ubiquitous vendor-noise token would otherwise win the plurality
-  // vote and be mistaken for the family.
-  VtReport r;
-  r.detections.push_back({0, "Trojan:Win32/Cloudscan.a"});
-  r.detections.push_back({1, "Cloudscan.Firseria"});
-  r.detections.push_back({3, "Trojan.Win32.Firseria.x"});
-
-  const auto without = FamilyExtractor(2).derive(r);
-  EXPECT_EQ(without.family, "cloudscan");  // noise wins 3 votes
-
-  const auto with =
-      FamilyExtractor(2, {"cloudscan"}).derive(r);
-  EXPECT_EQ(with.family, "firseria");
-}
-
-void expect_matches_reference(const VtReport& report,
-                              const std::vector<std::string>& extra = {}) {
+void expect_matches_reference(const VtReport& report) {
   for (const auto& det : report.detections)
     EXPECT_EQ(FamilyExtractor::candidate_tokens(det.label),
               reference::candidate_tokens(det.label))
         << det.label;
   for (const int min_support : {1, 2, 3}) {
-    const auto got = FamilyExtractor(min_support, extra).derive(report);
-    const auto want = reference::derive(report, min_support, extra);
+    const auto got = FamilyExtractor(min_support).derive(report);
+    const auto want = reference::derive(report, min_support);
     EXPECT_EQ(got.family, want.family) << "min_support=" << min_support;
     EXPECT_EQ(got.support, want.support) << "min_support=" << min_support;
   }
@@ -334,7 +286,6 @@ TEST(FamilyExtractorReference, MatchesOnHostileLabels) {
   for (std::size_t i = 0; i < labels.size(); ++i)
     all.detections.push_back({static_cast<std::uint16_t>(i), labels[i]});
   expect_matches_reference(all);
-  expect_matches_reference(all, {"firseria", "zbot"});
 }
 
 TEST(FamilyExtractorReference, LongTokensSurviveWhole) {

@@ -2,12 +2,13 @@
 // parsers throw typed errors, extractors return "no result", and nothing
 // crashes on arbitrary bytes.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "avclass/avclass.hpp"
@@ -17,8 +18,11 @@
 #include "telemetry/binary.hpp"
 #include "telemetry/io.hpp"
 #include "telemetry/mapped.hpp"
+#include "tests/temp_dir.hpp"
 #include "util/domain.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace longtail {
 namespace {
@@ -81,19 +85,11 @@ TEST(Robustness, E2ldOnArbitraryBytes) {
 
 class CorpusImportErrors : public ::testing::Test {
  protected:
-  std::string dir_ = [] {
-    // Per-process dir: ctest -j runs each TEST_F as its own concurrent
-    // process, and a shared path races remove_all against writes.
-    const auto d = std::filesystem::temp_directory_path() /
-                   ("longtail_robust_io_" +
-                    std::to_string(static_cast<unsigned>(::getpid())));
-    std::filesystem::remove_all(d);
-    std::filesystem::create_directories(d);
-    return d.string();
-  }();
+  test::TempDir tmp_;
+  std::string dir_ = tmp_.path().string();
 
   void write(const char* name, const std::string& content) {
-    std::ofstream out(dir_ + "/" + name);
+    std::ofstream out(tmp_.file(name));
     out << content;
   }
 };
@@ -139,24 +135,33 @@ TEST_F(CorpusImportErrors, BadDigestThrows) {
   EXPECT_THROW(telemetry::import_corpus(dir_), std::runtime_error);
 }
 
+// Sampled positions covering the whole image plus every byte of the
+// header region (magic, version, section count, reserved) — flipping any
+// section boundary lands in one of these.
+std::vector<std::size_t> sample_positions(std::size_t size,
+                                          std::size_t samples) {
+  std::vector<std::size_t> pos;
+  for (std::size_t i = 0; i < std::min<std::size_t>(size, 32); ++i)
+    pos.push_back(i);
+  const std::size_t stride = std::max<std::size_t>(1, size / samples);
+  for (std::size_t i = 32; i < size; i += stride) pos.push_back(i);
+  if (size > 0) pos.push_back(size - 1);  // the checksum's last byte
+  return pos;
+}
+
 // ------------------------------------------------- binary loader fuzzing
 //
 // The LTCP corpus and LTDS dataset readers must turn ANY damaged image
 // into a typed std::runtime_error — never a crash, hang, allocation
-// blow-up, or silent partial load. v2 files end with a whole-file FNV-1a
-// checksum; v3 files checksum every section plus the table of contents,
-// and every byte of the image falls in exactly one checksum region — so
-// every single-bit flip and every truncation is detectable by
-// construction in both formats. These tests hold the readers to that.
+// blow-up, or silent partial load. Both formats checksum every section
+// plus the header and table of contents, and every byte of the image
+// falls in exactly one checksum region — so every single-bit flip and
+// every truncation is detectable by construction. These tests hold the
+// readers to that.
 
 class BinaryFuzz : public ::testing::Test {
  protected:
-  static std::string temp_path(const char* name) {
-    const auto dir =
-        std::filesystem::temp_directory_path() / "longtail_robust_fuzz";
-    std::filesystem::create_directories(dir);
-    return (dir / name).string();
-  }
+  std::string temp_path(const char* name) const { return tmp_.file(name); }
 
   static const synth::Dataset& dataset() {
     static const synth::Dataset ds = synth::generate_dataset(0.01);
@@ -172,20 +177,6 @@ class BinaryFuzz : public ::testing::Test {
   static void write_file(const std::string& path, const std::string& bytes) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  // Sampled positions covering the whole image plus every byte of the
-  // header region (magic, version, fingerprint, leading counts) — flipping
-  // any section boundary lands in one of these.
-  static std::vector<std::size_t> sample_positions(std::size_t size,
-                                                   std::size_t samples) {
-    std::vector<std::size_t> pos;
-    for (std::size_t i = 0; i < std::min<std::size_t>(size, 32); ++i)
-      pos.push_back(i);
-    const std::size_t stride = std::max<std::size_t>(1, size / samples);
-    for (std::size_t i = 32; i < size; i += stride) pos.push_back(i);
-    if (size > 0) pos.push_back(size - 1);  // the checksum's last byte
-    return pos;
   }
 
   template <typename LoadFn>
@@ -224,6 +215,8 @@ class BinaryFuzz : public ::testing::Test {
       EXPECT_THROW((void)load(scratch), std::runtime_error);
     }
   }
+
+  test::TempDir tmp_;
 };
 
 TEST_F(BinaryFuzz, CorpusLoaderRejectsRandomBytes) {
@@ -343,6 +336,80 @@ TEST_F(BinaryFuzz, SectionCountJustOverCapRejected) {
   EXPECT_THROW((void)telemetry::load_binary(scratch), std::runtime_error);
   EXPECT_THROW((void)telemetry::MappedCorpus::open(scratch),
                std::runtime_error);
+}
+
+// ------------------------------------------------------- JSON fuzzing
+//
+// trace_report and bench_compare read JSON that may come from anywhere.
+// Every input must parse to a value or fail with a typed
+// std::runtime_error — never crash, hang, or overflow the stack. Mutants
+// are sampled like the binary images above.
+
+class JsonFuzz : public ::testing::Test {
+ protected:
+  // Any exception other than std::runtime_error escapes and fails the
+  // test; so does a crash.
+  static void parse_or_reject(const std::string& text) {
+    try {
+      (void)util::json::parse(text);
+    } catch (const std::runtime_error&) {
+    }
+  }
+
+  // Every sampled single-bit flip yields a value or a typed error; every
+  // sampled truncation of the document, trailing whitespace aside, is an
+  // error.
+  static void fuzz_document(std::string doc) {
+    ASSERT_NO_THROW((void)util::json::parse(doc));
+    doc.erase(doc.find_last_not_of(" \t\r\n") + 1);
+    for (const std::size_t at : sample_positions(doc.size(), 192)) {
+      for (const unsigned bit : {0u, 1u, 5u, 7u}) {
+        std::string damaged = doc;
+        damaged[at] = static_cast<char>(damaged[at] ^ (1u << bit));
+        parse_or_reject(damaged);
+      }
+    }
+    for (const std::size_t len : sample_positions(doc.size(), 128))
+      EXPECT_THROW((void)util::json::parse(doc.substr(0, len)),
+                   std::runtime_error)
+          << "truncation to " << len << " bytes parsed";
+  }
+};
+
+TEST_F(JsonFuzz, RandomBytesYieldValueOrTypedError) {
+  util::Rng rng(4321);
+  for (int i = 0; i < 256; ++i) parse_or_reject(random_bytes(rng, 4096));
+  // Bytes drawn from the JSON alphabet reach far deeper into the parser.
+  constexpr std::string_view kAlphabet = "{}[]\":,-+.0123456789eEtrufalsn\\ ";
+  for (int i = 0; i < 256; ++i) {
+    std::string text;
+    const auto len = rng.uniform(512);
+    for (std::size_t k = 0; k < len; ++k)
+      text += kAlphabet[rng.uniform(kAlphabet.size())];
+    parse_or_reject(text);
+  }
+}
+
+TEST_F(JsonFuzz, RenderedTraceMutantsYieldValueOrTypedError) {
+  util::trace::set_enabled(true);
+  util::trace::reset_for_testing();
+  {
+    util::trace::Span outer("fuzz.outer", "detail \"quoted\"\ttab\nline");
+    LONGTAIL_TRACE_SPAN("fuzz.inner");
+    util::trace::instant("fuzz.marker");
+  }
+  const std::string trace = util::trace::render_json();
+  util::trace::reset_for_testing();
+  util::trace::set_enabled(false);
+  fuzz_document(trace);
+}
+
+TEST_F(JsonFuzz, BenchBaselineMutantsYieldValueOrTypedError) {
+  std::ifstream in(std::string(LONGTAIL_SOURCE_DIR) +
+                   "/bench/baselines/BENCH_pipeline.baseline.json");
+  ASSERT_TRUE(in.good());
+  const std::string baseline{std::istreambuf_iterator<char>(in), {}};
+  fuzz_document(baseline);
 }
 
 }  // namespace

@@ -2,25 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "analysis/annotated.hpp"
 #include "core/pipeline.hpp"
 #include "synth/dataset_io.hpp"
 #include "synth/generator.hpp"
 #include "telemetry/io.hpp"
+#include "telemetry/mapped.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace longtail::telemetry {
 namespace {
-
-std::string temp_path(const char* name) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "longtail_binary_test";
-  std::filesystem::create_directories(dir);
-  return (dir / name).string();
-}
 
 const synth::Dataset& small_dataset() {
   static const synth::Dataset ds = synth::generate_dataset(0.01);
@@ -29,7 +27,8 @@ const synth::Dataset& small_dataset() {
 
 TEST(CorpusBinary, RoundTripPreservesEverything) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("corpus.bin");
+  const test::TempDir dir;
+  const auto path = dir.file("corpus.bin");
   save_binary(ds.corpus, path);
   const Corpus loaded = load_binary(path);
 
@@ -44,9 +43,9 @@ TEST(CorpusBinary, RoundTripPreservesEverything) {
 
 TEST(CorpusBinary, TsvRoundTripPreservesFingerprint) {
   const auto& ds = small_dataset();
-  const auto dir = temp_path("tsv");
-  export_corpus(ds.corpus, dir);
-  const Corpus loaded = import_corpus(dir);
+  const test::TempDir dir;
+  export_corpus(ds.corpus, dir.file("tsv"));
+  const Corpus loaded = import_corpus(dir.file("tsv"));
   EXPECT_EQ(corpus_fingerprint(loaded), corpus_fingerprint(ds.corpus));
 }
 
@@ -57,7 +56,8 @@ TEST(CorpusBinary, MissingFileThrows) {
 
 TEST(CorpusBinary, TruncatedFileThrows) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("truncated.bin");
+  const test::TempDir dir;
+  const auto path = dir.file("truncated.bin");
   save_binary(ds.corpus, path);
   const auto full = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full / 2);
@@ -66,11 +66,12 @@ TEST(CorpusBinary, TruncatedFileThrows) {
 
 TEST(CorpusBinary, CorruptedPayloadFailsFingerprintCheck) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("corrupt.bin");
+  const test::TempDir dir;
+  const auto path = dir.file("corrupt.bin");
   save_binary(ds.corpus, path);
   {
-    // Flip one byte well past the header (magic/version/fingerprint are
-    // the first 16 bytes).
+    // Flip one byte well past the header (magic, version, section count
+    // and a reserved word are the first 16 bytes).
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(64);
     char b = 0;
@@ -82,41 +83,28 @@ TEST(CorpusBinary, CorruptedPayloadFailsFingerprintCheck) {
   EXPECT_THROW(load_binary(path), std::runtime_error);
 }
 
-// Writers can still emit the v2 flat-stream format and the loader sniffs
-// the version, so corpora serialized before the sectioned v3 layout keep
-// loading byte-for-byte.
-TEST(CorpusBinary, V2FormatRoundTripsThroughVersionSniffing) {
-  const auto& ds = small_dataset();
-  const auto path = temp_path("corpus_v2.bin");
-  save_binary(ds.corpus, path, 2);
-  const Corpus loaded = load_binary(path);
-  EXPECT_EQ(loaded.events, ds.corpus.events);
-  EXPECT_EQ(corpus_fingerprint(loaded), corpus_fingerprint(ds.corpus));
-}
-
-TEST(CorpusBinary, V2AndV3EncodeTheSameCorpusDifferently) {
-  const auto& ds = small_dataset();
-  const auto v2 = temp_path("corpus_enc2.bin");
-  const auto v3 = temp_path("corpus_enc3.bin");
-  save_binary(ds.corpus, v2, 2);
-  save_binary(ds.corpus, v3, 3);
-  EXPECT_NE(std::filesystem::file_size(v2), 0u);
-  EXPECT_EQ(corpus_fingerprint(load_binary(v2)),
-            corpus_fingerprint(load_binary(v3)));
-}
-
 TEST(CorpusBinary, BadMagicThrows) {
-  const auto path = temp_path("bad_magic.bin");
+  const test::TempDir dir;
+  const auto path = dir.file("bad_magic.bin");
   std::ofstream out(path, std::ios::binary);
-  const std::uint32_t junk[4] = {0xDEADBEEF, 1, 0, 0};
+  // Long enough to pass the size check, so the header's magic check is
+  // what rejects it.
+  const std::uint32_t junk[16] = {0xDEADBEEF, 1, 0, 0};
   out.write(reinterpret_cast<const char*>(junk), sizeof(junk));
   out.close();
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  try {
+    (void)load_binary(path);
+    ADD_FAILURE() << "bad magic loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DatasetBinary, RoundTripPreservesDatasetFingerprint) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("dataset.bin");
+  const test::TempDir dir;
+  const auto path = dir.file("dataset.bin");
   synth::save_dataset_binary(ds, path);
   const synth::Dataset loaded = synth::load_dataset_binary(path);
 
@@ -131,19 +119,10 @@ TEST(DatasetBinary, RoundTripPreservesDatasetFingerprint) {
   EXPECT_EQ(loaded.collection_stats.accepted, ds.collection_stats.accepted);
 }
 
-TEST(DatasetBinary, V2FormatRoundTripsThroughVersionSniffing) {
-  const auto& ds = small_dataset();
-  const auto path = temp_path("dataset_v2.bin");
-  synth::save_dataset_binary(ds, path, 2);
-  const synth::Dataset loaded = synth::load_dataset_binary(path);
-  EXPECT_EQ(core::dataset_fingerprint(loaded), core::dataset_fingerprint(ds));
-  EXPECT_EQ(loaded.corpus.events, ds.corpus.events);
-  EXPECT_EQ(loaded.collection_stats.accepted, ds.collection_stats.accepted);
-}
-
 TEST(DatasetBinary, ReloadedDatasetAnnotatesIdentically) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("dataset_annotate.bin");
+  const test::TempDir dir;
+  const auto path = dir.file("dataset_annotate.bin");
   synth::save_dataset_binary(ds, path);
   const synth::Dataset loaded = synth::load_dataset_binary(path);
 
@@ -153,6 +132,61 @@ TEST(DatasetBinary, ReloadedDatasetAnnotatesIdentically) {
   EXPECT_EQ(a1.labels.file_verdicts, a2.labels.file_verdicts);
   EXPECT_EQ(a1.labels.process_verdicts, a2.labels.process_verdicts);
   EXPECT_EQ(a1.file_types, a2.file_types);
+}
+
+// Every loader accepts exactly version 3. `save(path)` writes a v3 file;
+// copies whose version word (bytes 4-7) claims the retired version 2 or
+// an unknown version 4 must fail `load` with the header's typed version
+// error, before any section is read.
+template <typename Save, typename Load>
+void expect_other_versions_rejected(Save save, Load load) {
+  const test::TempDir dir;
+  const auto path = dir.file("v3.bin");
+  save(path);
+  std::string image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(image.size(), 8u);
+  for (const std::uint32_t version : {2u, 4u}) {
+    std::memcpy(image.data() + 4, &version, sizeof version);
+    const auto patched = dir.file("v" + std::to_string(version) + ".bin");
+    std::ofstream(patched, std::ios::binary) << image;
+    try {
+      (void)load(patched);
+      ADD_FAILURE() << "version " << version << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported binary version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+void save_corpus(const std::string& path) {
+  save_binary(small_dataset().corpus, path);
+}
+
+void save_dataset(const std::string& path) {
+  synth::save_dataset_binary(small_dataset(), path);
+}
+
+TEST(CorpusBinary, RetiredAndUnknownVersionsAreRejected) {
+  expect_other_versions_rejected(save_corpus, load_binary);
+}
+
+TEST(DatasetBinary, RetiredAndUnknownVersionsAreRejected) {
+  expect_other_versions_rejected(save_dataset, synth::load_dataset_binary);
+}
+
+TEST(MappedCorpus, RetiredAndUnknownVersionsAreRejected) {
+  expect_other_versions_rejected(save_corpus, MappedCorpus::open);
+}
+
+TEST(MappedDataset, RetiredAndUnknownVersionsAreRejected) {
+  expect_other_versions_rejected(save_dataset, synth::load_dataset_mapped);
 }
 
 }  // namespace

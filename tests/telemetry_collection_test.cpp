@@ -6,6 +6,7 @@
 
 #include "telemetry/streaming.hpp"
 #include "telemetry/transport.hpp"
+#include "tests/collection_harness.hpp"
 
 namespace longtail::telemetry {
 namespace {
@@ -17,6 +18,8 @@ using model::MachineId;
 using model::ProcessId;
 using model::UrlId;
 using model::UrlMeta;
+using test::collect;
+using test::make_server;
 
 DownloadEvent make_event(std::uint32_t file, std::uint32_t machine,
                          std::uint32_t url, model::Timestamp t,
@@ -29,87 +32,106 @@ std::vector<UrlMeta> two_urls() {
   return {UrlMeta{DomainId{0}, 0}, UrlMeta{DomainId{1}, 0}};
 }
 
+// The §II-A rules over a time-ordered agent stream, delivered exactly
+// once and in order through the trusted path.
+EventStore filter(StreamingCollectionServer& server,
+                  const std::vector<DownloadEvent>& raw) {
+  std::vector<DeliveredReport> delivered;
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    delivered.push_back({raw[i], i, raw[i].time, 0, false});
+  return collect(server, delivered);
+}
+
 TEST(CollectionServer, AcceptsExecutedEvents) {
-  CollectionServer server({.sigma = 20, .whitelisted_domains = {}});
-  const std::vector<DownloadEvent> raw = {make_event(0, 0, 0, 10)};
   const auto urls = two_urls();
-  const auto out = server.filter(raw, urls);
+  auto server = make_server({.sigma = 20, .whitelisted_domains = {}}, urls,
+                            /*trusted=*/true);
+  const std::vector<DownloadEvent> raw = {make_event(0, 0, 0, 10)};
+  const auto out = filter(server, raw);
   EXPECT_EQ(out.size(), 1u);
   EXPECT_EQ(server.stats().accepted, 1u);
 }
 
 TEST(CollectionServer, DropsNonExecutedDownloads) {
-  CollectionServer server({.sigma = 20, .whitelisted_domains = {}});
+  const auto urls = two_urls();
+  auto server = make_server({.sigma = 20, .whitelisted_domains = {}}, urls,
+                            /*trusted=*/true);
   const std::vector<DownloadEvent> raw = {
       make_event(0, 0, 0, 10, /*executed=*/false),
       make_event(0, 1, 0, 20, /*executed=*/true)};
-  const auto urls = two_urls();
-  const auto out = server.filter(raw, urls);
+  const auto out = filter(server, raw);
   EXPECT_EQ(out.size(), 1u);
   EXPECT_EQ(server.stats().dropped_not_executed, 1u);
 }
 
 TEST(CollectionServer, DropsWhitelistedDomains) {
-  CollectionServer server(
-      {.sigma = 20, .whitelisted_domains = {DomainId{1}}});
+  const auto urls = two_urls();
+  auto server = make_server(
+      {.sigma = 20, .whitelisted_domains = {DomainId{1}}}, urls,
+      /*trusted=*/true);
   const std::vector<DownloadEvent> raw = {make_event(0, 0, 0, 10),
                                           make_event(1, 0, 1, 20)};
-  const auto urls = two_urls();
-  const auto out = server.filter(raw, urls);
+  const auto out = filter(server, raw);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].url(), (UrlId{0}));
   EXPECT_EQ(server.stats().dropped_whitelisted_url, 1u);
 }
 
 TEST(CollectionServer, EnforcesPrevalenceCap) {
-  CollectionServer server({.sigma = 3, .whitelisted_domains = {}});
+  const auto urls = two_urls();
+  auto server = make_server({.sigma = 3, .whitelisted_domains = {}}, urls,
+                            /*trusted=*/true);
   std::vector<DownloadEvent> raw;
   for (std::uint32_t m = 0; m < 10; ++m)
     raw.push_back(make_event(0, m, 0, 10 + m));
-  const auto urls = two_urls();
-  const auto out = server.filter(raw, urls);
+  const auto out = filter(server, raw);
   EXPECT_EQ(out.size(), 3u);
   EXPECT_EQ(server.stats().dropped_prevalence_cap, 7u);
   EXPECT_EQ(server.reported_prevalence(FileId{0}), 3u);
 }
 
 TEST(CollectionServer, RepeatMachineDoesNotCountTwiceTowardCap) {
-  CollectionServer server({.sigma = 2, .whitelisted_domains = {}});
+  const auto urls = two_urls();
+  auto server = make_server({.sigma = 2, .whitelisted_domains = {}}, urls,
+                            /*trusted=*/true);
   // Machine 0 downloads the file twice; then machines 1 and 2 try.
   const std::vector<DownloadEvent> raw = {
       make_event(0, 0, 0, 1), make_event(0, 0, 0, 2), make_event(0, 1, 0, 3),
       make_event(0, 2, 0, 4)};
-  const auto urls = two_urls();
-  const auto out = server.filter(raw, urls);
+  const auto out = filter(server, raw);
   // Events from machines {0,0,1} accepted; machine 2 pushed past sigma=2.
   EXPECT_EQ(out.size(), 3u);
   EXPECT_EQ(server.reported_prevalence(FileId{0}), 2u);
 }
 
 TEST(CollectionServer, SigmaTwentyMatchesPaperSetting) {
-  CollectionServer server({.sigma = 20, .whitelisted_domains = {}});
+  const auto urls = two_urls();
+  auto server = make_server({.sigma = 20, .whitelisted_domains = {}}, urls,
+                            /*trusted=*/true);
   std::vector<DownloadEvent> raw;
   for (std::uint32_t m = 0; m < 100; ++m)
     raw.push_back(make_event(0, m, 0, m));
-  const auto urls = two_urls();
-  EXPECT_EQ(server.filter(raw, urls).size(), 20u);
+  EXPECT_EQ(filter(server, raw).size(), 20u);
 }
 
 TEST(CollectionServer, CapIsPerFile) {
-  CollectionServer server({.sigma = 1, .whitelisted_domains = {}});
+  const auto urls = two_urls();
+  auto server = make_server({.sigma = 1, .whitelisted_domains = {}}, urls,
+                            /*trusted=*/true);
   const std::vector<DownloadEvent> raw = {
       make_event(0, 0, 0, 1), make_event(1, 1, 0, 2), make_event(2, 2, 0, 3)};
-  const auto urls = two_urls();
-  EXPECT_EQ(server.filter(raw, urls).size(), 3u);
+  EXPECT_EQ(filter(server, raw).size(), 3u);
 }
 
 TEST(CollectionServer, StatsTotalSeen) {
-  CollectionServer server({.sigma = 1, .whitelisted_domains = {DomainId{1}}});
+  const auto urls = two_urls();
+  auto server = make_server(
+      {.sigma = 1, .whitelisted_domains = {DomainId{1}}}, urls,
+      /*trusted=*/true);
   const std::vector<DownloadEvent> raw = {
       make_event(0, 0, 0, 1, false), make_event(0, 1, 1, 2),
       make_event(0, 2, 0, 3), make_event(0, 3, 0, 4)};
-  const auto urls = two_urls();
-  (void)server.filter(raw, urls);
+  (void)filter(server, raw);
   EXPECT_EQ(server.stats().total_seen(), 4u);
   EXPECT_EQ(server.stats().accepted, 1u);
 }
@@ -132,14 +154,15 @@ TEST(PrevalenceTracker, StoresAtMostSigmaMachinesPerFile) {
 TEST(ReorderBoundary, EventExactlyAtHorizonIsAdmitted) {
   // The stale rule is strict: an event reported exactly at the released
   // watermark is still admitted; one second earlier is stale.
-  CollectionServer server(
-      {.sigma = 20, .whitelisted_domains = {}, .reorder_horizon_s = 100.0});
+  const auto urls = two_urls();
+  auto server = make_server(
+      {.sigma = 20, .whitelisted_domains = {}, .reorder_horizon_s = 100.0},
+      urls, /*trusted=*/false);
   const std::vector<DeliveredReport> delivered = {
       {make_event(0, 0, 0, 1000), 0, 1100, 0, false},
       {make_event(1, 1, 0, 999), 1, 1100, 0, false},
   };
-  const auto urls = two_urls();
-  const auto out = server.filter_transport(delivered, urls, /*num_files=*/50);
+  const auto out = collect(server, delivered);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].file(), (FileId{0}));
   EXPECT_EQ(server.stats().dropped_stale, 1u);
@@ -149,16 +172,17 @@ TEST(ReorderBoundary, EventExactlyAtHorizonIsAdmitted) {
 TEST(ReorderBoundary, EqualTimestampsReleaseInReportIdOrder) {
   // Same reported second, arrival order 5, 9, 3: the (time, report_id)
   // buffer key must release 3, 5, 9.
-  CollectionServer server({.sigma = 20,
-                           .whitelisted_domains = {},
-                           .reorder_horizon_s = 1'000'000.0});
+  const auto urls = two_urls();
+  auto server = make_server({.sigma = 20,
+                             .whitelisted_domains = {},
+                             .reorder_horizon_s = 1'000'000.0},
+                            urls, /*trusted=*/false);
   const std::vector<DeliveredReport> delivered = {
       {make_event(5, 0, 0, 500), 5, 600, 0, false},
       {make_event(9, 1, 0, 500), 9, 610, 0, false},
       {make_event(3, 2, 0, 500), 3, 620, 0, false},
   };
-  const auto urls = two_urls();
-  const auto out = server.filter_transport(delivered, urls, /*num_files=*/50);
+  const auto out = collect(server, delivered);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].file(), (FileId{3}));
   EXPECT_EQ(out[1].file(), (FileId{5}));

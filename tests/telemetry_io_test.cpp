@@ -1,29 +1,20 @@
 #include "telemetry/io.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <filesystem>
 #include <string>
 
 #include "synth/generator.hpp"
 #include "telemetry/index.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace longtail::telemetry {
 namespace {
 
-// Per-process directory: ctest runs each test as its own process, and
-// tests sharing one path would overwrite each other's exports.
-std::string temp_dir() {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("longtail_io_test_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
 TEST(CorpusIo, RoundTripsGeneratedCorpus) {
   const auto ds = synth::generate_dataset(0.01);
-  const auto dir = temp_dir();
+  const test::TempDir tmp;
+  const auto dir = tmp.file("corpus");
   export_corpus(ds.corpus, dir);
   const Corpus loaded = import_corpus(dir);
 
@@ -78,7 +69,8 @@ TEST(CorpusIo, ImportMissingDirectoryThrows) {
 
 TEST(CorpusIo, ImportedCorpusSupportsIndexing) {
   const auto ds = synth::generate_dataset(0.01);
-  const auto dir = temp_dir();
+  const test::TempDir tmp;
+  const auto dir = tmp.file("corpus");
   export_corpus(ds.corpus, dir);
   const Corpus loaded = import_corpus(dir);
   const CorpusIndex original(ds.corpus);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -13,31 +11,23 @@
 #include "synth/generator.hpp"
 #include "telemetry/binary.hpp"
 #include "telemetry/scan.hpp"
+#include "tests/temp_dir.hpp"
 #include "util/thread_pool.hpp"
 
 namespace longtail::telemetry {
 namespace {
-
-std::string temp_path(const char* name) {
-  // Per-process directory: ctest runs each test as its own process, and a
-  // shared path would let one process rewrite a file another has mapped
-  // (SIGBUS on a truncated mapping).
-  const auto dir =
-      std::filesystem::temp_directory_path() /
-      ("longtail_mapped_test_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  return (dir / name).string();
-}
 
 const synth::Dataset& small_dataset() {
   static const synth::Dataset ds = synth::generate_dataset(0.01);
   return ds;
 }
 
-// Path of an LTCP v3 file holding small_dataset()'s corpus, written once.
+// Path of an LTCP file holding small_dataset()'s corpus, written once per
+// process into a directory removed at exit.
 const std::string& corpus_path() {
+  static const test::TempDir dir;
   static const std::string path = [] {
-    const auto p = temp_path("corpus_v3.ltcp");
+    const auto p = dir.file("corpus.ltcp");
     save_binary(small_dataset().corpus, p);
     return p;
   }();
@@ -158,7 +148,8 @@ TEST(MappedCorpus, OpenRejectsMissingFile) {
 
 TEST(MappedDataset, MappedLoadMatchesOwnedLoad) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("dataset_v3.ltds");
+  const test::TempDir dir;
+  const auto path = dir.file("dataset_v3.ltds");
   synth::save_dataset_binary(ds, path);
 
   const synth::Dataset owned = synth::load_dataset_binary(path);
@@ -179,21 +170,11 @@ TEST(MappedDataset, MappedLoadMatchesOwnedLoad) {
 // the same fingerprint as the in-memory original.
 TEST(MappedDataset, PipelineRunsOverMappedEvents) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("dataset_pipeline.ltds");
+  const test::TempDir dir;
+  const auto path = dir.file("dataset_pipeline.ltds");
   synth::save_dataset_binary(ds, path);
   const synth::Dataset mapped = synth::load_dataset_mapped(path);
   EXPECT_EQ(core::dataset_fingerprint(mapped), core::dataset_fingerprint(ds));
-}
-
-// A v2 file has no section table to map; load_dataset_mapped degrades to
-// the owned stream loader instead of failing.
-TEST(MappedDataset, V2FileDegradesToOwnedLoad) {
-  const auto& ds = small_dataset();
-  const auto path = temp_path("dataset_v2.ltds");
-  synth::save_dataset_binary(ds, path, 2);
-  const synth::Dataset loaded = synth::load_dataset_mapped(path);
-  EXPECT_FALSE(loaded.corpus.events.mapped());
-  EXPECT_EQ(core::dataset_fingerprint(loaded), core::dataset_fingerprint(ds));
 }
 
 }  // namespace

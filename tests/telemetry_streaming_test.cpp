@@ -1,7 +1,7 @@
 // Streaming ingest invariants: for every window width and every chunking
 // of the delivered stream, the concatenation of the closed windows is
-// identical to the batch filter_transport replay — same events, same
-// order, same CollectionStats — and the §II-A conservation law holds at
+// identical to one ingest of the whole stream into a single window — same
+// events, same order, same CollectionStats — and the §II-A conservation law holds at
 // every watermark, not just at end-of-stream. The trusted fast path must
 // be indistinguishable from the untrusted path on a fault-free stream.
 #include "telemetry/streaming.hpp"
@@ -13,6 +13,7 @@
 
 #include "telemetry/collection.hpp"
 #include "telemetry/transport.hpp"
+#include "tests/scoped_env.hpp"
 
 namespace longtail::telemetry {
 namespace {
@@ -152,9 +153,9 @@ StreamResult stream_through(const std::vector<DeliveredReport>& delivered,
     for (std::size_t i = 0; i < w.events.size(); ++i) {
       EXPECT_GE(w.events[i].time(), w.begin);
       EXPECT_LT(w.events[i].time(), w.end);
-      out.events.push_back(w.events[i]);
     }
   }
+  out.events = concat_windows(out.windows);
   out.stats = server.stats();
   return out;
 }
@@ -163,14 +164,16 @@ TEST(StreamingIngest, ConcatenationMatchesBatchForEveryWidthAndChunk) {
   const auto delivered = hostile_stream();
   const auto urls = two_urls();
 
-  CollectionServer batch(test_policy());
-  const auto batch_out = batch.filter_transport(delivered, urls, kNumFiles);
-  ASSERT_GT(batch_out.size(), 0u);
+  // The reference: one ingest of the whole stream into a single window.
+  const auto batch = stream_through(delivered, /*window_s=*/0,
+                                    /*chunk=*/delivered.size(),
+                                    /*trusted=*/false, urls);
+  ASSERT_GT(batch.events.size(), 0u);
   // The hostile stream must actually exercise every defense.
-  EXPECT_GT(batch.stats().dropped_duplicate, 0u);
-  EXPECT_GT(batch.stats().dropped_stale, 0u);
-  EXPECT_GT(batch.stats().quarantined_malformed, 0u);
-  EXPECT_GT(batch.stats().dropped_prevalence_cap, 0u);
+  EXPECT_GT(batch.stats.dropped_duplicate, 0u);
+  EXPECT_GT(batch.stats.dropped_stale, 0u);
+  EXPECT_GT(batch.stats.quarantined_malformed, 0u);
+  EXPECT_GT(batch.stats.dropped_prevalence_cap, 0u);
 
   for (const Timestamp window_s : {Timestamp{0}, Timestamp{64},
                                    Timestamp{512}, Timestamp{7'919},
@@ -181,8 +184,8 @@ TEST(StreamingIngest, ConcatenationMatchesBatchForEveryWidthAndChunk) {
                    << "window_s=" << window_s << " chunk=" << chunk);
       const auto streamed =
           stream_through(delivered, window_s, chunk, /*trusted=*/false, urls);
-      expect_same_events(streamed.events, batch_out);
-      expect_same_stats(streamed.stats, batch.stats());
+      expect_same_events(streamed.events, batch.events);
+      expect_same_stats(streamed.stats, batch.stats);
     }
   }
 }
@@ -225,6 +228,19 @@ TEST(StreamingIngest, FinishIsIdempotent) {
   server.finish(windows);
   EXPECT_EQ(windows.size(), n);
   EXPECT_EQ(server.stats().accepted, accepted);
+}
+
+// LONGTAIL_STREAM_WINDOW takes a positive number of seconds; anything
+// else, including 0, selects the 7-day default.
+TEST(StreamingConfig, WindowFromEnvParsesPositiveSecondsOnly) {
+  for (const char* value : {static_cast<const char*>(nullptr), "", "0", "-5",
+                            "12x"}) {
+    const test::ScopedEnv env("LONGTAIL_STREAM_WINDOW", value);
+    EXPECT_EQ(StreamingConfig::window_from_env(), 604'800)
+        << (value != nullptr ? value : "(unset)");
+  }
+  const test::ScopedEnv env("LONGTAIL_STREAM_WINDOW", "3600");
+  EXPECT_EQ(StreamingConfig::window_from_env(), 3600);
 }
 
 }  // namespace

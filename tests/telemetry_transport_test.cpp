@@ -17,6 +17,8 @@
 #include "synth/generator.hpp"
 #include "telemetry/collection.hpp"
 #include "telemetry/faults.hpp"
+#include "telemetry/streaming.hpp"
+#include "tests/collection_harness.hpp"
 #include "telemetry/transport.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -32,6 +34,8 @@ using model::ProcessId;
 using model::Timestamp;
 using model::UrlId;
 using model::UrlMeta;
+using test::collect;
+using test::make_server;
 
 DownloadEvent make_event(std::uint32_t file, std::uint32_t machine,
                          std::uint32_t url, Timestamp t,
@@ -329,7 +333,9 @@ TEST(Transport, GeneratorDatasetDeterministicUnderFaults) {
 // ------------------------------------------------------------ Quarantine
 
 TEST(Quarantine, MalformedPayloadsAreQuarantined) {
-  CollectionServer server({.sigma = 20, .whitelisted_domains = {}});
+  const auto urls = two_urls();
+  auto server = make_server({.sigma = 20, .whitelisted_domains = {}}, urls,
+                            /*trusted=*/false);
   const Timestamp period_end = model::kMonthStart[model::kNumCalendarMonths];
   std::vector<DeliveredReport> delivered = {
       {make_event(0, 0, 0, 100), 0, 100, 0, false},          // fine
@@ -338,8 +344,7 @@ TEST(Quarantine, MalformedPayloadsAreQuarantined) {
       {make_event(1, 3, 0, -5), 3, 130, 0, true},            // negative time
       {make_event(1, 4, 0, period_end + 10), 4, 140, 0, true},  // far future
   };
-  const auto urls = two_urls();
-  const auto out = server.filter_transport(delivered, urls, /*num_files=*/50);
+  const auto out = collect(server, delivered);
   EXPECT_EQ(out.size(), 1u);
   EXPECT_EQ(server.stats().accepted, 1u);
   EXPECT_EQ(server.stats().quarantined_malformed, 4u);
@@ -347,23 +352,26 @@ TEST(Quarantine, MalformedPayloadsAreQuarantined) {
 }
 
 TEST(Quarantine, DuplicateCopiesAreDroppedOnce) {
-  CollectionServer server({.sigma = 20, .whitelisted_domains = {}});
+  const auto urls = two_urls();
+  auto server = make_server({.sigma = 20, .whitelisted_domains = {}}, urls,
+                            /*trusted=*/false);
   std::vector<DeliveredReport> delivered = {
       {make_event(0, 0, 0, 100), 0, 100, 0, false},
       {make_event(0, 0, 0, 100), 0, 130, 1, false},
       {make_event(0, 0, 0, 100), 0, 190, 2, false},
       {make_event(1, 1, 0, 200), 1, 200, 0, false},
   };
-  const auto urls = two_urls();
-  const auto out = server.filter_transport(delivered, urls, /*num_files=*/50);
+  const auto out = collect(server, delivered);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(server.stats().dropped_duplicate, 2u);
   EXPECT_EQ(server.stats().total_seen(), delivered.size());
 }
 
 TEST(Quarantine, ReorderBufferRestoresTimeOrder) {
-  CollectionServer server(
-      {.sigma = 20, .whitelisted_domains = {}, .reorder_horizon_s = 700.0});
+  const auto urls = two_urls();
+  auto server = make_server(
+      {.sigma = 20, .whitelisted_domains = {}, .reorder_horizon_s = 700.0},
+      urls, /*trusted=*/false);
   // Arrival order 2000, 2010 but occurrence order 1500, 1400. The second
   // event lags its arrival by 610 s — within the 700 s horizon, so the
   // server must emit both in occurrence order.
@@ -371,8 +379,7 @@ TEST(Quarantine, ReorderBufferRestoresTimeOrder) {
       {make_event(0, 0, 0, 1500), 0, 2000, 0, false},
       {make_event(1, 1, 0, 1400), 1, 2010, 0, false},
   };
-  const auto urls = two_urls();
-  const auto out = server.filter_transport(delivered, urls, /*num_files=*/50);
+  const auto out = collect(server, delivered);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.time_column()[0], 1400);
   EXPECT_EQ(out.time_column()[1], 1500);
@@ -380,16 +387,17 @@ TEST(Quarantine, ReorderBufferRestoresTimeOrder) {
 }
 
 TEST(Quarantine, LateBeyondHorizonIsDroppedStale) {
-  CollectionServer server(
-      {.sigma = 20, .whitelisted_domains = {}, .reorder_horizon_s = 100.0});
+  const auto urls = two_urls();
+  auto server = make_server(
+      {.sigma = 20, .whitelisted_domains = {}, .reorder_horizon_s = 100.0},
+      urls, /*trusted=*/false);
   std::vector<DeliveredReport> delivered = {
       {make_event(0, 0, 0, 1000), 0, 1000, 0, false},
       // Watermark advances to 2000 - 100 = 1900, releasing report 0; this
       // event's occurrence (500) precedes the released range — stale.
       {make_event(1, 1, 0, 500), 1, 2000, 0, false},
   };
-  const auto urls = two_urls();
-  const auto out = server.filter_transport(delivered, urls, /*num_files=*/50);
+  const auto out = collect(server, delivered);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.time_column()[0], 1000);
   EXPECT_EQ(server.stats().dropped_stale, 1u);
@@ -401,11 +409,13 @@ TEST(Quarantine, TransportStreamOrderIsRepairedEndToEnd) {
   const auto profile = lossy_profile();
   FaultyTransport transport(profile, /*seed=*/42);
   const auto delivered = transport.deliver(raw);
-  CollectionServer server({.sigma = 20,
-                           .whitelisted_domains = {},
-                           .reorder_horizon_s = profile.reorder_horizon_s()});
   const auto urls = two_urls();
-  const auto out = server.filter_transport(delivered, urls, /*num_files=*/50);
+  auto server =
+      make_server({.sigma = 20,
+                   .whitelisted_domains = {},
+                   .reorder_horizon_s = profile.reorder_horizon_s()},
+                  urls, /*trusted=*/false);
+  const auto out = collect(server, delivered);
   // The reorder horizon covers jitter + skew for first copies, so nothing
   // in-budget is lost and the accepted stream is time-sorted again.
   EXPECT_EQ(server.stats().dropped_stale, 0u);
@@ -425,11 +435,12 @@ TEST(Quarantine, ConservationHoldsForEveryNamedProfile) {
     const auto profile = *named_fault_profile(name);
     FaultyTransport transport(profile, /*seed=*/9);
     const auto delivered = transport.deliver(raw);
-    CollectionServer server(
-        {.sigma = 20,
-         .whitelisted_domains = {},
-         .reorder_horizon_s = profile.reorder_horizon_s()});
-    (void)server.filter_transport(delivered, urls, /*num_files=*/50);
+    auto server =
+        make_server({.sigma = 20,
+                     .whitelisted_domains = {},
+                     .reorder_horizon_s = profile.reorder_horizon_s()},
+                    urls, /*trusted=*/false);
+    (void)collect(server, delivered);
     EXPECT_EQ(server.stats().total_seen(), delivered.size()) << name;
     EXPECT_EQ(server.stats().total_seen(), transport.stats().delivered)
         << name;
@@ -446,11 +457,12 @@ TEST(Quarantine, FilteredOutputIdenticalAcrossThreadCounts) {
     util::set_global_threads(threads);
     FaultyTransport transport(profile, /*seed=*/42);
     const auto delivered = transport.deliver(raw);
-    CollectionServer server(
-        {.sigma = 20,
-         .whitelisted_domains = {},
-         .reorder_horizon_s = profile.reorder_horizon_s()});
-    auto out = server.filter_transport(delivered, urls, /*num_files=*/50);
+    auto server =
+        make_server({.sigma = 20,
+                     .whitelisted_domains = {},
+                     .reorder_horizon_s = profile.reorder_horizon_s()},
+                    urls, /*trusted=*/false);
+    auto out = collect(server, delivered);
     if (first.size() == 0) {
       first = std::move(out);
       first_stats = server.stats();

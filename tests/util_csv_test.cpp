@@ -3,19 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
+
+#include "tests/temp_dir.hpp"
 
 namespace longtail::util {
 namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string temp_path(const char* name) {
-    const auto dir =
-        std::filesystem::temp_directory_path() / "longtail_csv_test";
-    std::filesystem::create_directories(dir);
-    return (dir / name).string();
-  }
+  std::string temp_path(const char* name) const { return tmp_.file(name); }
+
+  test::TempDir tmp_;
 };
 
 TEST_F(CsvTest, TsvRoundTrip) {

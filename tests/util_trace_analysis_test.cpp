@@ -126,6 +126,21 @@ TEST(TraceAnalysis, RejectsMalformedInput) {
   EXPECT_THROW(ta::analyze("{\"noTraceEvents\": 1}"), std::runtime_error);
   EXPECT_THROW(ta::analyze("{\"traceEvents\": [{\"unterminated"),
                std::runtime_error);
+  // Hostile documents: each is a typed error, never a crash or a report
+  // built from a misread value.
+  EXPECT_THROW(ta::analyze(std::string(kSyntheticTrace) + " junk"),
+               std::runtime_error);
+  EXPECT_THROW(ta::analyze(std::string(1'000'000, '[')), std::runtime_error);
+  EXPECT_THROW(ta::analyze("{\"traceEvents\": [{\"name\": \"a\\uZZZZb\", "
+                           "\"ph\": \"X\", \"ts\": 0, \"dur\": 5}]}"),
+               std::runtime_error);
+  for (const char* number : {"inf", "nan", "0x10", "+1"})
+    EXPECT_THROW(ta::analyze(std::string("{\"traceEvents\": [{\"name\": "
+                                         "\"s\", \"ph\": \"X\", \"ts\": 0, "
+                                         "\"dur\": ") +
+                             number + "}]}"),
+                 std::runtime_error)
+        << number;
 }
 
 TEST(TraceAnalysis, ToleratesPrettyPrintedAndEscapedJson) {

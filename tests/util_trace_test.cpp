@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace longtail::util {
@@ -121,106 +122,6 @@ TEST_F(TraceTest, DisabledMacroRecordsNothing) {
   EXPECT_TRUE(trace::snapshot_for_testing().empty());
 }
 
-// --- Minimal JSON validator (no external deps) -----------------------------
-// Accepts the JSON subset the renderer can produce: objects, arrays,
-// strings with escapes, numbers, booleans.
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-      }
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    return pos_ > start;
-  }
-  bool literal(const char* word) {
-    const std::string w(word);
-    if (s_.compare(pos_, w.size(), w) != 0) return false;
-    pos_ += w.size();
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
-            s_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
 TEST_F(TraceTest, RenderedTraceJsonIsWellFormed) {
   set_global_threads(2);
   {
@@ -229,7 +130,21 @@ TEST_F(TraceTest, RenderedTraceJsonIsWellFormed) {
     trace::instant("json.marker");
   }
   const std::string json = trace::render_json();
-  EXPECT_TRUE(JsonValidator(json).valid()) << json;
+  util::json::Value doc;
+  ASSERT_NO_THROW(doc = util::json::parse(json)) << json;
+  // The escaped detail reads back as the original string.
+  const util::json::Value* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  bool found_outer = false;
+  for (const util::json::Value& e : events->arr) {
+    const util::json::Value* args = e.find("args");
+    if (e.find("name")->str_or("") != "json.outer" || args == nullptr)
+      continue;
+    found_outer = true;
+    EXPECT_EQ(args->find("detail")->str_or(""),
+              "detail with \"quotes\"\nand newline");
+  }
+  EXPECT_TRUE(found_outer);
   // Structural spot checks on the trace-event schema.
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);

@@ -24,23 +24,26 @@
 //                        sum_ms may not regress by more than the histogram
 //                        threshold (sums under 1 ms are skipped as noise).
 //
-// The wall-clock parser is deliberately minimal: it extracts every numeric
-// value of an exactly-quoted key anywhere in the file (the bench JSON is
-// flat and self-produced, machine noise is handled by taking each run
-// set's best). The metrics parser walks the balanced-brace "metrics"
-// object and tolerates arbitrary whitespace, so jq-pretty-printed files
-// gate the same as ours. A metric missing from either file is reported
-// and skipped, not failed, so the gate survives schema evolution in
-// either direction.
+// Both files are read with the strict parser of util/json.hpp; a file
+// that is not one well-formed JSON document (empty, truncated, trailing
+// junk) fails the gate with exit 2 and the parser's message, so a BENCH
+// file that holds no data can never pass. A metric missing from a
+// well-formed file is reported and skipped, not failed, so the gate
+// survives schema evolution in either direction. Wall-clock metrics are
+// every numeric value of the exact key anywhere in the document; counters
+// and histogram counts are compared as the integers they were written as.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace {
 
@@ -54,15 +57,18 @@ constexpr Metric kGatedMetrics[] = {
     {"resolve_events_ms", false},
     {"analysis_ms", false},
     // Streaming section: sustained untrusted-ingest throughput. The key
-    // is distinct from "events_per_sec" on purpose — the exact-quoted-key
-    // scan must not conflate the two.
+    // is distinct from "events_per_sec" on purpose — the exact-key match
+    // must not conflate the two.
     {"ingest_events_per_sec", true},
 };
 
 // Histogram sums below this many milliseconds are too noisy to gate.
 constexpr double kHistSumFloorMs = 1.0;
 
-std::string slurp(const char* path) {
+using longtail::util::json::Value;
+
+// Reads and parses one BENCH file; unreadable or malformed input exits 2.
+Value load(const char* path) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "bench_compare: cannot read %s\n", path);
@@ -70,186 +76,128 @@ std::string slurp(const char* path) {
   }
   std::ostringstream ss;
   ss << in.rdbuf();
-  return ss.str();
+  try {
+    return longtail::util::json::parse(ss.str());
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "bench_compare: %s: %s\n", path, e.what());
+    std::exit(2);
+  }
 }
 
-// Every numeric value stored under `"key": ` (exact key, including the
-// opening quote, so "resolve_events_ms" never matches
-// "synth.resolve_events_ms").
-std::vector<double> values_of(const std::string& json, const char* key) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  std::vector<double> out;
-  for (std::size_t pos = json.find(needle); pos != std::string::npos;
-       pos = json.find(needle, pos + needle.size())) {
-    const char* start = json.c_str() + pos + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end != start) out.push_back(v);
+// Every numeric value stored under `key` anywhere in the document (exact
+// key, so "resolve_events_ms" never matches "synth.resolve_events_ms").
+void collect_values(const Value& v, std::string_view key,
+                    std::vector<double>& out) {
+  for (const auto& [k, child] : v.obj) {
+    if (k == key && child.kind == Value::kNum) out.push_back(child.num);
+    collect_values(child, key, out);
   }
-  return out;
+  for (const Value& child : v.arr) collect_values(child, key, out);
 }
 
 // A run set's representative value: the best across runs (max for
 // throughput, min for wall time), so thread-count fan-out and machine
 // noise both shrink instead of amplifying.
-bool best_of(const std::string& json, const Metric& m, double* out) {
-  const auto vals = values_of(json, m.key);
+bool best_of(const Value& doc, const Metric& m, double* out) {
+  std::vector<double> vals;
+  collect_values(doc, m.key, vals);
   if (vals.empty()) return false;
   *out = m.higher_is_better ? *std::max_element(vals.begin(), vals.end())
                             : *std::min_element(vals.begin(), vals.end());
   return true;
 }
 
-// ---- metrics snapshot parsing ---------------------------------------------
-
-void skip_ws(const std::string& s, std::size_t* p) {
-  while (*p < s.size() && (s[*p] == ' ' || s[*p] == '\t' || s[*p] == '\n' ||
-                           s[*p] == '\r'))
-    ++*p;
+// The member `key` of `v` if it is an object, else nullptr.
+const Value* object_member(const Value* v, const char* key) {
+  if (v == nullptr) return nullptr;
+  const Value* m = v->find(key);
+  return m != nullptr && m->kind == Value::kObj ? m : nullptr;
 }
 
-// The balanced {...} object following `"key":`, or "" when absent.
-// Search starts at `from`, which lets the caller scope the lookup to an
-// enclosing object's extent.
-std::string object_of(const std::string& json, const char* key,
-                      std::size_t from = 0) {
-  const std::string needle = std::string("\"") + key + "\"";
-  std::size_t pos = json.find(needle, from);
-  if (pos == std::string::npos) return "";
-  pos += needle.size();
-  skip_ws(json, &pos);
-  if (pos >= json.size() || json[pos] != ':') return "";
-  ++pos;
-  skip_ws(json, &pos);
-  if (pos >= json.size() || json[pos] != '{') return "";
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < json.size(); ++i) {
-    const char c = json[i];
-    if (in_string) {
-      if (c == '\\')
-        ++i;
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    if (c == '{') ++depth;
-    if (c == '}' && --depth == 0) return json.substr(pos, i - pos + 1);
-  }
-  return "";
+// An exact count, read from the number's text as written (a double would
+// round counts above 2^53).
+bool count_of(const Value* v, std::uint64_t* out) {
+  if (v == nullptr || v->kind != Value::kNum) return false;
+  *out = std::strtoull(v->str.c_str(), nullptr, 10);
+  return true;
 }
 
-// Key → raw value text for one flat JSON object level: values are numbers
-// or balanced {...} sub-objects (all the metrics snapshot contains).
-std::map<std::string, std::string> parse_flat_object(const std::string& obj) {
-  std::map<std::string, std::string> out;
-  std::size_t p = 0;
-  skip_ws(obj, &p);
-  if (p >= obj.size() || obj[p] != '{') return out;
-  ++p;
-  for (;;) {
-    skip_ws(obj, &p);
-    if (p >= obj.size() || obj[p] == '}') return out;
-    if (obj[p] == ',') {
-      ++p;
-      continue;
-    }
-    if (obj[p] != '"') return out;  // malformed; keep what we have
-    const std::size_t key_end = obj.find('"', p + 1);
-    if (key_end == std::string::npos) return out;
-    std::string key = obj.substr(p + 1, key_end - p - 1);
-    p = key_end + 1;
-    skip_ws(obj, &p);
-    if (p >= obj.size() || obj[p] != ':') return out;
-    ++p;
-    skip_ws(obj, &p);
-    if (p < obj.size() && obj[p] == '{') {
-      int depth = 0;
-      std::size_t i = p;
-      for (; i < obj.size(); ++i) {
-        if (obj[i] == '{') ++depth;
-        if (obj[i] == '}' && --depth == 0) break;
-      }
-      if (i >= obj.size()) return out;
-      out.emplace(std::move(key), obj.substr(p, i - p + 1));
-      p = i + 1;
-    } else {
-      const std::size_t start = p;
-      while (p < obj.size() && obj[p] != ',' && obj[p] != '}') ++p;
-      out.emplace(std::move(key), obj.substr(start, p - start));
-    }
-  }
-}
-
-double first_value(const std::string& json, const char* key, double fallback) {
-  const auto vals = values_of(json, key);
-  return vals.empty() ? fallback : vals.front();
+double number_or(const Value* v, double fallback) {
+  return v != nullptr ? v->num_or(fallback) : fallback;
 }
 
 // Exact-counter and histogram-drift comparison. Returns the number of
 // drifted metrics; keys missing from either side are skipped so schema
 // evolution in either direction stays green.
-int gate_metrics(const std::string& baseline, const std::string& current,
+int gate_metrics(const Value& baseline, const Value& current,
                  double hist_threshold) {
-  const std::string base_m = object_of(baseline, "metrics");
-  const std::string cur_m = object_of(current, "metrics");
-  if (base_m.empty() || cur_m.empty()) {
+  const Value* base_m = object_member(&baseline, "metrics");
+  const Value* cur_m = object_member(&current, "metrics");
+  if (base_m == nullptr || cur_m == nullptr) {
     std::printf("  metrics            skipped (missing from %s)\n",
-                base_m.empty() ? "baseline" : "current");
+                base_m == nullptr ? "baseline" : "current");
     return 0;
   }
 
   int drifted = 0;
-  const auto base_counters = parse_flat_object(object_of(base_m, "counters"));
-  const auto cur_counters = parse_flat_object(object_of(cur_m, "counters"));
+  const Value* base_counters = object_member(base_m, "counters");
+  const Value* cur_counters = object_member(cur_m, "counters");
   std::size_t counters_checked = 0;
-  for (const auto& [name, base_text] : base_counters) {
-    // profile.* metrics describe how the machine scheduled the run (e.g.
-    // how many pool helpers were actually submitted), not the workload;
-    // they are legitimately timing-dependent and exempt from gating.
-    if (name.rfind("profile.", 0) == 0) continue;
-    const auto it = cur_counters.find(name);
-    if (it == cur_counters.end()) continue;
-    ++counters_checked;
-    const auto base_v = std::strtoull(base_text.c_str(), nullptr, 10);
-    const auto cur_v = std::strtoull(it->second.c_str(), nullptr, 10);
-    if (base_v != cur_v) {
-      std::printf("  counter %-32s baseline %llu  current %llu  DRIFTED\n",
-                  name.c_str(), static_cast<unsigned long long>(base_v),
-                  static_cast<unsigned long long>(cur_v));
-      ++drifted;
+  if (base_counters != nullptr && cur_counters != nullptr) {
+    for (const auto& [name, base_v] : base_counters->obj) {
+      // profile.* metrics describe how the machine scheduled the run (e.g.
+      // how many pool helpers were actually submitted), not the workload;
+      // they are legitimately timing-dependent and exempt from gating.
+      if (name.rfind("profile.", 0) == 0) continue;
+      const Value* cur_v = cur_counters->find(name);
+      if (cur_v == nullptr) continue;
+      ++counters_checked;
+      std::uint64_t base_n = 0;
+      std::uint64_t cur_n = 0;
+      count_of(&base_v, &base_n);
+      count_of(cur_v, &cur_n);
+      if (base_n != cur_n) {
+        std::printf("  counter %-32s baseline %llu  current %llu  DRIFTED\n",
+                    name.c_str(), static_cast<unsigned long long>(base_n),
+                    static_cast<unsigned long long>(cur_n));
+        ++drifted;
+      }
     }
   }
 
-  const auto base_hists = parse_flat_object(object_of(base_m, "histograms"));
-  const auto cur_hists = parse_flat_object(object_of(cur_m, "histograms"));
+  const Value* base_hists = object_member(base_m, "histograms");
+  const Value* cur_hists = object_member(cur_m, "histograms");
   std::size_t hists_checked = 0;
-  for (const auto& [name, base_text] : base_hists) {
-    if (name.rfind("profile.", 0) == 0) continue;  // same exemption
-    const auto it = cur_hists.find(name);
-    if (it == cur_hists.end()) continue;
-    ++hists_checked;
-    const double base_count = first_value(base_text, "count", -1);
-    const double cur_count = first_value(it->second, "count", -1);
-    if (base_count >= 0 && cur_count >= 0 && base_count != cur_count) {
-      std::printf(
-          "  histogram %-30s baseline count %.0f  current count %.0f  "
-          "DRIFTED\n",
-          name.c_str(), base_count, cur_count);
-      ++drifted;
-      continue;
-    }
-    const double base_sum = first_value(base_text, "sum_ms", -1);
-    const double cur_sum = first_value(it->second, "sum_ms", -1);
-    if (base_sum < kHistSumFloorMs || cur_sum < 0) continue;
-    const double delta = (cur_sum - base_sum) / base_sum;
-    if (delta > hist_threshold) {
-      std::printf(
-          "  histogram %-30s baseline sum %.2fms  current sum %.2fms  "
-          "%+.0f%%  REGRESSED\n",
-          name.c_str(), base_sum, cur_sum, delta * 100.0);
-      ++drifted;
+  if (base_hists != nullptr && cur_hists != nullptr) {
+    for (const auto& [name, base_h] : base_hists->obj) {
+      if (name.rfind("profile.", 0) == 0) continue;  // same exemption
+      const Value* cur_h = cur_hists->find(name);
+      if (cur_h == nullptr) continue;
+      ++hists_checked;
+      std::uint64_t base_count = 0;
+      std::uint64_t cur_count = 0;
+      if (count_of(base_h.find("count"), &base_count) &&
+          count_of(cur_h->find("count"), &cur_count) &&
+          base_count != cur_count) {
+        std::printf(
+            "  histogram %-30s baseline count %llu  current count %llu  "
+            "DRIFTED\n",
+            name.c_str(), static_cast<unsigned long long>(base_count),
+            static_cast<unsigned long long>(cur_count));
+        ++drifted;
+        continue;
+      }
+      const double base_sum = number_or(base_h.find("sum_ms"), -1);
+      const double cur_sum = number_or(cur_h->find("sum_ms"), -1);
+      if (base_sum < kHistSumFloorMs || cur_sum < 0) continue;
+      const double delta = (cur_sum - base_sum) / base_sum;
+      if (delta > hist_threshold) {
+        std::printf(
+            "  histogram %-30s baseline sum %.2fms  current sum %.2fms  "
+            "%+.0f%%  REGRESSED\n",
+            name.c_str(), base_sum, cur_sum, delta * 100.0);
+        ++drifted;
+      }
     }
   }
   std::printf(
@@ -291,8 +239,8 @@ int main(int argc, char** argv) {
                  "[--no-metrics]\n");
     return 2;
   }
-  const std::string baseline = slurp(paths[0]);
-  const std::string current = slurp(paths[1]);
+  const Value baseline = load(paths[0]);
+  const Value current = load(paths[1]);
 
   std::printf("bench gate: %s vs %s (threshold %.0f%%, histograms %.0f%%)\n",
               paths[1], paths[0], threshold * 100.0, hist_threshold * 100.0);
@@ -300,10 +248,10 @@ int main(int argc, char** argv) {
   for (const Metric& m : kGatedMetrics) {
     double base = 0.0;
     double cur = 0.0;
-    if (!best_of(baseline, m, &base) || !best_of(current, m, &cur) ||
-        base <= 0.0) {
+    const bool have_base = best_of(baseline, m, &base);
+    if (!have_base || !best_of(current, m, &cur) || base <= 0.0) {
       std::printf("  %-18s skipped (missing from %s)\n", m.key,
-                  values_of(baseline, m.key).empty() ? "baseline" : "current");
+                  have_base ? "current" : "baseline");
       continue;
     }
     // Positive delta = worse, regardless of the metric's direction.
