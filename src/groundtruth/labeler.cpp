@@ -1,5 +1,6 @@
 #include "groundtruth/labeler.hpp"
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -33,11 +34,7 @@ model::Verdict Labeler::verdict(bool whitelisted,
   if (whitelisted) return model::Verdict::kBenign;
   if (!vt.has_value()) return model::Verdict::kUnknown;
 
-  if (vt->clean()) {
-    return vt->scan_span_days() >= config_.min_clean_span_days
-               ? model::Verdict::kBenign
-               : model::Verdict::kLikelyBenign;
-  }
+  if (vt->clean()) return clean_verdict(vt->last_scan - vt->first_scan);
   for (const auto& det : vt->detections)
     if (is_trusted(det.engine)) return model::Verdict::kMalicious;
   return model::Verdict::kLikelyMalicious;
@@ -49,7 +46,23 @@ model::Verdict Labeler::verdict_as_of(bool whitelisted,
   if (whitelisted) return model::Verdict::kBenign;
   if (!vt.has_value() || vt->first_scan > when)
     return model::Verdict::kUnknown;  // VT has no record yet
-  return verdict(false, vt->as_of(when));
+  // verdict(false, vt->as_of(when)) without building the truncated report:
+  // only signatures that exist by `when` count, and the scan span ends at
+  // `when`.
+  bool detected = false;
+  for (const auto& det : vt->detections) {
+    if (det.signature_time > when) continue;
+    if (is_trusted(det.engine)) return model::Verdict::kMalicious;
+    detected = true;
+  }
+  if (detected) return model::Verdict::kLikelyMalicious;
+  return clean_verdict(std::min(vt->last_scan, when) - vt->first_scan);
+}
+
+model::Verdict Labeler::clean_verdict(std::int64_t span_s) const {
+  return span_s / model::kSecondsPerDay >= config_.min_clean_span_days
+             ? model::Verdict::kBenign
+             : model::Verdict::kLikelyBenign;
 }
 
 LabelSet Labeler::label_all(std::size_t num_files, std::size_t num_processes,

@@ -51,7 +51,9 @@ class Labeler {
   // developed later are invisible and the scan history is truncated. A
   // not-yet-detected malicious file reads as (likely-)benign or unknown —
   // the premature-labeling trap that motivates the paper's two-year
-  // re-scan.
+  // re-scan. Equals `verdict(whitelisted, vt->as_of(when))` once VT has a
+  // record (Unknown before `first_scan`), computed in one pass over the
+  // detections without copying the report.
   [[nodiscard]] model::Verdict verdict_as_of(
       bool whitelisted, const std::optional<VtReport>& vt,
       model::Timestamp when) const;
@@ -63,6 +65,9 @@ class Labeler {
                                    const VtDatabase& vt) const;
 
  private:
+  // The verdict of a clean report whose scans span `span_s` seconds.
+  [[nodiscard]] model::Verdict clean_verdict(std::int64_t span_s) const;
+
   LabelerConfig config_;
 };
 
