@@ -19,6 +19,10 @@
 //   * the online labeler's batch replay — every field of its monthly
 //     results and of its freshness statistics.
 //
+// The online pin was re-captured, paired, when the label-time search
+// gained the first-VT-scan breakpoint: that fix moves only the freshness
+// statistics, and the other four pins held across it.
+//
 // Update the pins only with a paired capture from the commit being
 // replaced, never to "make the test pass".
 #include <gtest/gtest.h>
@@ -45,7 +49,7 @@ constexpr std::uint64_t kPinnedSpacesHash = 0xC3ED753DE7ED92FCULL;
 constexpr std::uint64_t kPinnedInstancesHash = 0x73D8392C2D30EF8EULL;
 constexpr std::uint64_t kPinnedRulesHash = 0x92F892C39DFB230FULL;
 constexpr std::uint64_t kPinnedTausHash = 0x178B503ED9F9A2DFULL;
-constexpr std::uint64_t kPinnedOnlineHash = 0x8CEC660D65F40588ULL;
+constexpr std::uint64_t kPinnedOnlineHash = 0x9C2F7956F366E29BULL;
 
 struct RuleLayerDigest {
   std::uint64_t spaces = 0;
