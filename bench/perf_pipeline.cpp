@@ -32,7 +32,6 @@
 #include "bench_common.hpp"
 #include "core/longtail.hpp"
 #include "deploy/online.hpp"
-#include "synth/feed.hpp"
 #include "telemetry/binary.hpp"
 #include "telemetry/mapped.hpp"
 #include "telemetry/scan.hpp"
@@ -441,8 +440,8 @@ std::string run_fullscale_section(const char* argv0) {
 //
 // Sustained streaming throughput: the collected corpus is re-ingested
 // through the *untrusted* streaming path (dedup set + reorder buffer
-// exercised per report) in LONGTAIL_STREAM_CHUNK-sized DeliveredReport
-// chunks; the closed windows feed the incremental analytics and the
+// exercised per report) by `collect_in_order`, kCollectChunk reports per
+// ingest; the closed windows feed the incremental analytics and the
 // online serving loop. The policy is pass-through (unbounded sigma, no
 // whitelist), so every event survives ingest and the serving loop sees
 // exactly the corpus replay — freshness percentiles are then a pure
@@ -454,7 +453,6 @@ std::string run_streaming_section(const synth::Dataset& dataset) {
   const auto& events = dataset.corpus.events;
   const std::size_t n = events.size();
   const auto window_s = telemetry::StreamingConfig::window_from_env();
-  const std::size_t chunk = synth::ChunkedFeed::chunk_from_env();
 
   telemetry::StreamingConfig cfg;
   cfg.policy.sigma = std::numeric_limits<std::uint32_t>::max();
@@ -465,20 +463,8 @@ std::string run_streaming_section(const synth::Dataset& dataset) {
                                               dataset.corpus.urls);
 
   std::vector<telemetry::EventWindow> windows;
-  std::vector<telemetry::DeliveredReport> buffer;
-  const double ingest_ms = bench::time_ms([&] {
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-      const std::size_t end = std::min(n, begin + chunk);
-      buffer.clear();
-      buffer.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        buffer.push_back(telemetry::DeliveredReport{
-            events[i], static_cast<std::uint64_t>(i), events[i].time(), 0,
-            false});
-      server.ingest(buffer, windows);
-    }
-    server.finish(windows);
-  });
+  const double ingest_ms = bench::time_ms(
+      [&] { windows = telemetry::collect_in_order(server, events); });
   std::uint64_t accepted = 0;
   for (const auto& w : windows) accepted += w.events.size();
 
@@ -528,7 +514,7 @@ std::string run_streaming_section(const synth::Dataset& dataset) {
 
   return util::json::Object()
       .field("window_s", static_cast<std::uint64_t>(window_s))
-      .field("chunk", static_cast<std::uint64_t>(chunk))
+      .field("chunk", static_cast<std::uint64_t>(telemetry::kCollectChunk))
       .field("windows", static_cast<std::uint64_t>(windows.size()))
       .field("events_in", static_cast<std::uint64_t>(n))
       .field("events_accepted", accepted)

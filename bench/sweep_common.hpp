@@ -19,7 +19,6 @@
 #include "analysis/streaming.hpp"
 #include "bench_common.hpp"
 #include "deploy/online.hpp"
-#include "synth/feed.hpp"
 #include "telemetry/streaming.hpp"
 
 namespace longtail::bench {
@@ -132,11 +131,11 @@ inline std::string sigma_json(const SigmaCapStats& s) {
 }
 
 // Streaming serving replay: re-ingests the collected corpus through the
-// untrusted streaming path in chunks (pass-through policy — sigma was
-// already applied at collection, so every event survives and the serving
-// loop sees exactly the corpus), then serves every closed window through
-// the online labeler. Freshness percentiles and the peak-window load are
-// how burst scenarios stress the serving loop.
+// untrusted streaming path with `collect_in_order` (pass-through policy —
+// sigma was already applied at collection, so every event survives and
+// the serving loop sees exactly the corpus), then serves every closed
+// window through the online labeler. Freshness percentiles and the
+// peak-window load are how burst scenarios stress the serving loop.
 struct StreamingReplayStats {
   std::uint64_t windows = 0;
   std::uint64_t events = 0;
@@ -154,7 +153,6 @@ inline StreamingReplayStats replay_streaming(
   const auto& events = ds.corpus.events;
   const std::size_t n = events.size();
   out.events = n;
-  const std::size_t chunk = synth::ChunkedFeed::chunk_from_env();
 
   telemetry::StreamingConfig cfg;
   cfg.policy.sigma = std::numeric_limits<std::uint32_t>::max();
@@ -164,20 +162,8 @@ inline StreamingReplayStats replay_streaming(
   telemetry::StreamingCollectionServer server(std::move(cfg), ds.corpus.urls);
 
   std::vector<telemetry::EventWindow> windows;
-  std::vector<telemetry::DeliveredReport> buffer;
-  out.ingest_ms = time_ms([&] {
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-      const std::size_t end = std::min(n, begin + chunk);
-      buffer.clear();
-      buffer.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        buffer.push_back(telemetry::DeliveredReport{
-            events[i], static_cast<std::uint64_t>(i), events[i].time(), 0,
-            false});
-      server.ingest(buffer, windows);
-    }
-    server.finish(windows);
-  });
+  out.ingest_ms = time_ms(
+      [&] { windows = telemetry::collect_in_order(server, events); });
   out.windows = windows.size();
   out.conserved = server.conserved();
   out.ingest_events_per_sec =

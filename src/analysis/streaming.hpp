@@ -9,8 +9,9 @@
 // `MonthlyTally` (analysis/monthly.hpp) and a `telemetry::FileReach`
 // (telemetry/index.hpp) — and each snapshot runs the same finisher as the
 // batch call, so a snapshot is bit-identical to the batch analysis of the
-// events absorbed so far. Both accumulators depend only on the set of
-// events added, so window width and chunking cannot affect the result.
+// events absorbed so far. `absorb` folds each event of a window into both
+// in one loop. Both accumulators depend only on the set of events added,
+// so window width and ingest chunking cannot affect the result.
 //
 // Per-file state is bounded: accepted events only carry machines admitted
 // below the collection cap sigma, so the distinct-machine list per file
@@ -26,7 +27,6 @@
 #include "analysis/prevalence.hpp"
 #include "analysis/signers.hpp"
 #include "telemetry/index.hpp"
-#include "telemetry/scan.hpp"
 #include "telemetry/streaming.hpp"
 
 namespace longtail::analysis {
@@ -55,13 +55,8 @@ class StreamingAnalytics {
   }
 
  private:
-  template <typename Acc>
-  using Fold = void (*)(Acc&, telemetry::EventStore::EventRef);
-  template <typename Acc>
-  using Reducer = telemetry::IncrementalReducer<Acc, Fold<Acc>>;
-
-  Reducer<MonthlyTally> monthly_;
-  Reducer<telemetry::FileReach> reach_;
+  MonthlyTally monthly_;
+  telemetry::FileReach reach_;
   std::size_t windows_ = 0;
 };
 

@@ -10,9 +10,9 @@
 
 #include "groundtruth/avsim.hpp"
 #include "synth/chains.hpp"
-#include "synth/feed.hpp"
 #include "synth/world.hpp"
 #include "telemetry/streaming.hpp"
+#include "telemetry/transport.hpp"
 #include "util/hash.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -1250,25 +1250,26 @@ void Generator::finalize_corpus() {
   for (DomainId dom : world_.update_domains)
     cfg.policy.whitelisted_domains.insert(dom);
   cfg.num_files = world_.corpus.files.size();
-  cfg.window_s = telemetry::StreamingConfig::window_from_env();
+  const bool faulted = profile_.faults.transport_active();
+  cfg.trusted = !faulted;
 
-  // Windowed streaming ingest: the chunked feed drives the streaming
-  // server (faulted path: dedup → quarantine → reorder → §II-A rules;
-  // fault-free path: the trusted fast path) and the corpus is the
-  // concatenation of the closed windows — the same for every window width
-  // and chunk size.
-  synth::ChunkedFeed feed(raw_events_, profile_.faults, profile_.seed,
-                          synth::ChunkedFeed::chunk_from_env());
-  cfg.trusted = feed.trusted();
+  // One collection pass in one window over the whole period
+  // (window_s = 0), whose events become the corpus. The fault-free stream
+  // takes the trusted path; a faulted one crosses FaultyTransport and is
+  // hardened by dedup → quarantine → reorder before the §II-A rules.
   telemetry::StreamingCollectionServer server(std::move(cfg),
                                               world_.corpus.urls);
   std::vector<telemetry::EventWindow> windows;
-  while (feed.step(server, windows)) {
+  if (faulted) {
+    telemetry::FaultyTransport transport(profile_.faults, profile_.seed);
+    const auto delivered = transport.deliver(raw_events_);
+    transport_stats_ = transport.stats();
+    server.ingest(delivered, windows);
+    server.finish(windows);
+  } else {
+    windows = telemetry::collect_in_order(server, raw_events_);
   }
-  server.finish(windows);
-  transport_stats_ = feed.transport_stats();
-
-  world_.corpus.events = telemetry::concat_windows(windows);
+  world_.corpus.events = std::move(windows.front().events);
 
   world_.corpus.machine_count = world_.num_machines();
   collection_stats_ = server.stats();

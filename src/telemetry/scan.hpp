@@ -2,8 +2,6 @@
 // baseline, feature, and ground-truth modules goes through these helpers
 // instead of hand-rolled `for` loops over the event table.
 //
-//   * `for_each_event(corpus[, begin, end], fn)` — serial scan in time
-//     order, for passes whose accumulator is inherently sequential.
 //   * `scan_reduce(corpus[, begin, end], make_acc, fn, combine)` — the
 //     parallel workhorse. The event range is split into shards whose count
 //     is *data-derived* (~32k events per shard, never the thread count);
@@ -52,20 +50,6 @@ inline constexpr std::size_t kScanShardSize = 32 * 1024;
       std::lower_bound(times.begin(), times.end(), t) - times.begin());
 }
 
-// Serial scan over [begin, end) in time order.
-template <typename Fn>
-void for_each_event(const Corpus& corpus, std::size_t begin, std::size_t end,
-                    Fn&& fn) {
-  LONGTAIL_METRIC_COUNT("corpus.scan.serial_invocations", 1);
-  LONGTAIL_METRIC_COUNT("corpus.scan.events_scanned", end - begin);
-  for (std::size_t i = begin; i < end; ++i) fn(corpus.events[i]);
-}
-
-template <typename Fn>
-void for_each_event(const Corpus& corpus, Fn&& fn) {
-  for_each_event(corpus, 0, corpus.events.size(), std::forward<Fn>(fn));
-}
-
 // Deterministic sharded reduction over the event range [begin, end).
 // fn(acc, EventRef) folds one event; combine(total, shard_acc) merges in
 // ascending shard order. Returns the combined accumulator.
@@ -105,40 +89,6 @@ auto scan_reduce(const Corpus& corpus, MakeAcc make_acc, Fn fn,
   return scan_reduce(corpus, 0, corpus.events.size(), std::move(make_acc),
                      std::move(fn), std::move(combine), label);
 }
-
-// Incremental-combine form of `scan_reduce` for the streaming path: the
-// same per-event fold, absorbed window-by-window as the streaming server
-// closes them, with the running accumulator available at every window
-// boundary. The fold sees events in exactly the order the batch scan
-// does (windows partition the time-sorted stream), so any accumulator
-// whose batch combine is order-preserving yields bit-identical snapshots.
-// Callers finish `state()` into a report with the batch path's finisher.
-template <typename Acc, typename Fn>
-class IncrementalReducer {
- public:
-  IncrementalReducer(Acc acc, Fn fn, const char* label = "")
-      : acc_(std::move(acc)), fn_(std::move(fn)), label_(label) {}
-
-  // Folds one closed window of events into the running accumulator.
-  void absorb(const EventStore& window) {
-    LONGTAIL_TRACE_SPAN_DETAIL("corpus.absorb", std::string(label_));
-    LONGTAIL_METRIC_COUNT("corpus.scan.windows_absorbed", 1);
-    LONGTAIL_METRIC_COUNT("corpus.scan.events_scanned", window.size());
-    for (std::size_t i = 0; i < window.size(); ++i) fn_(acc_, window[i]);
-  }
-
-  [[nodiscard]] const Acc& state() const noexcept { return acc_; }
-
- private:
-  Acc acc_;
-  Fn fn_;
-  const char* label_;
-};
-
-template <typename Acc, typename Fn>
-IncrementalReducer(Acc, Fn) -> IncrementalReducer<Acc, Fn>;
-template <typename Acc, typename Fn>
-IncrementalReducer(Acc, Fn, const char*) -> IncrementalReducer<Acc, Fn>;
 
 // Deterministic sharded reduction over an entity index range [0, n) —
 // files, machines, observed-file lists. fn(acc, i) folds one index.

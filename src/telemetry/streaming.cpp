@@ -60,17 +60,36 @@ void record_stats_delta(const CollectionStats& before,
       after.quarantined_malformed - before.quarantined_malformed);
 }
 
+template <typename Events>
+std::vector<EventWindow> deliver_in_order(StreamingCollectionServer& server,
+                                          const Events& events) {
+  std::vector<EventWindow> windows;
+  std::vector<DeliveredReport> chunk;
+  chunk.reserve(std::min(events.size(), kCollectChunk));
+  for (std::size_t begin = 0; begin < events.size(); begin += kCollectChunk) {
+    const std::size_t end = std::min(events.size(), begin + kCollectChunk);
+    chunk.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      const model::DownloadEvent e = events[i];
+      chunk.push_back(DeliveredReport{e, i, e.time, 0, false});
+    }
+    server.ingest(chunk, windows);
+  }
+  server.finish(windows);
+  return windows;
+}
+
 }  // namespace
 
-EventStore concat_windows(std::span<const EventWindow> windows) {
-  std::size_t total = 0;
-  for (const EventWindow& w : windows) total += w.events.size();
-  EventStore events;
-  events.reserve(total);
-  for (const EventWindow& w : windows)
-    for (std::size_t i = 0; i < w.events.size(); ++i)
-      events.push_back(w.events[i]);
-  return events;
+std::vector<EventWindow> collect_in_order(
+    StreamingCollectionServer& server,
+    std::span<const model::DownloadEvent> events) {
+  return deliver_in_order(server, events);
+}
+
+std::vector<EventWindow> collect_in_order(StreamingCollectionServer& server,
+                                          const EventStore& events) {
+  return deliver_in_order(server, events);
 }
 
 model::Timestamp StreamingConfig::window_from_env() {

@@ -13,10 +13,10 @@
 // `watermark() >= window.end` the window's contents are final.
 //
 // Within a window, events appear in (time, report_id) release order; the
-// concatenation of all closed windows (`concat_windows`) is the same for
-// every chunking and every window width, including `window_s = 0`, the
-// single window over the whole period — windowing only partitions the
-// release sequence, it never reorders it.
+// concatenation of all closed windows is the same for every chunking and
+// every window width, including `window_s = 0`, the single window over
+// the whole period — windowing only partitions the release sequence, it
+// never reorders it.
 //
 // The §II-A conservation law holds at every watermark, not just at
 // end-of-stream: every consumed copy is either counted by exactly one
@@ -25,6 +25,7 @@
 // `conserved()` checks this invariant.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -52,10 +53,10 @@ struct StreamingConfig {
   // to [0, period_end)).
   model::Timestamp period_end =
       model::kMonthStart[model::kNumCalendarMonths];
-  // Channel contract: when true the feed guarantees exactly-once,
-  // reported-time-ordered delivery (the in-process fault-free feed), so
-  // ingest skips the dedup set and the reorder buffer — on such a stream
-  // both are provably no-ops and the emitted windows are identical to the
+  // Channel contract: when true the stream is exactly-once and in
+  // reported-time order (`collect_in_order`'s delivery), so ingest skips
+  // the dedup set and the reorder buffer — on such a stream both are
+  // provably no-ops and the emitted windows are identical to the
   // untrusted path's, without the per-report hash/map cost.
   bool trusted = false;
 
@@ -71,9 +72,6 @@ struct EventWindow {
   model::Timestamp end = 0;  // exclusive; clipped to period_end
   EventStore events;         // in (time, report_id) release order
 };
-
-// The accepted stream so far: the events of `windows`, in window order.
-[[nodiscard]] EventStore concat_windows(std::span<const EventWindow> windows);
 
 class StreamingCollectionServer {
  public:
@@ -107,9 +105,6 @@ class StreamingCollectionServer {
   // arrival reported strictly earlier is stale.
   [[nodiscard]] model::Timestamp watermark() const noexcept {
     return released_through_;
-  }
-  [[nodiscard]] std::size_t windows_closed() const noexcept {
-    return next_window_;
   }
   // Distinct machines that downloaded `f` among *accepted* events, capped
   // at sigma by construction.
@@ -162,5 +157,18 @@ class StreamingCollectionServer {
   EventStore open_events_;       // accepted events of the open window
   bool finished_ = false;
 };
+
+// Reports per `ingest` call in `collect_in_order`.
+inline constexpr std::size_t kCollectChunk = 64 * 1024;
+
+// Delivers an exactly-once, time-ordered event stream to `server` as the
+// fault-free channel does — report_id = index, arrival = reported time —
+// kCollectChunk reports per `ingest`, finishes the stream and returns
+// every window the server closed.
+[[nodiscard]] std::vector<EventWindow> collect_in_order(
+    StreamingCollectionServer& server,
+    std::span<const model::DownloadEvent> events);
+[[nodiscard]] std::vector<EventWindow> collect_in_order(
+    StreamingCollectionServer& server, const EventStore& events);
 
 }  // namespace longtail::telemetry

@@ -2,8 +2,9 @@
 // the collection server.
 //
 // The fault-free pipeline hands the raw agent event stream to the
-// trusted path of `StreamingCollectionServer` (streaming.hpp) as if every
-// report arrived exactly once, in perfect time order, uncorrupted.
+// trusted path of `StreamingCollectionServer` with `collect_in_order`
+// (streaming.hpp), as if every report arrived exactly once, in perfect
+// time order, uncorrupted.
 // `FaultyTransport` replays the same stream through a simulated lossy
 // channel instead (§II-A's SA→CS hop):
 //

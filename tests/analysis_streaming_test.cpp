@@ -16,7 +16,6 @@
 #include "analysis/signers.hpp"
 #include "dataset_fixture.hpp"
 #include "telemetry/streaming.hpp"
-#include "telemetry/transport.hpp"
 
 namespace longtail::analysis {
 namespace {
@@ -36,22 +35,8 @@ std::vector<telemetry::EventWindow> windowize(const telemetry::Corpus& corpus,
   cfg.num_files = corpus.files.size();
   cfg.trusted = true;
   telemetry::StreamingCollectionServer server(std::move(cfg), corpus.urls);
-
-  std::vector<telemetry::EventWindow> windows;
-  std::vector<telemetry::DeliveredReport> buffer;
-  const auto& events = corpus.events;
-  constexpr std::size_t kChunk = 10'000;
-  for (std::size_t begin = 0; begin < events.size(); begin += kChunk) {
-    const std::size_t end = std::min(events.size(), begin + kChunk);
-    buffer.clear();
-    for (std::size_t i = begin; i < end; ++i)
-      buffer.push_back(telemetry::DeliveredReport{
-          events[i], static_cast<std::uint64_t>(i), events[i].time(), 0,
-          false});
-    server.ingest(buffer, windows);
-  }
-  server.finish(windows);
-  EXPECT_EQ(server.stats().accepted, events.size());
+  auto windows = telemetry::collect_in_order(server, corpus.events);
+  EXPECT_EQ(server.stats().accepted, corpus.events.size());
   return windows;
 }
 

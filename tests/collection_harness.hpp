@@ -23,6 +23,15 @@ inline telemetry::StreamingCollectionServer make_server(
   return telemetry::StreamingCollectionServer(std::move(cfg), urls);
 }
 
+// The accepted stream so far: the events of `windows`, in window order.
+inline telemetry::EventStore concat_windows(
+    std::span<const telemetry::EventWindow> windows) {
+  telemetry::EventStore events;
+  for (const telemetry::EventWindow& w : windows)
+    for (const auto e : w.events) events.push_back(e);
+  return events;
+}
+
 // Delivers `delivered` to the end of the stream and returns every
 // accepted event.
 inline telemetry::EventStore collect(
@@ -31,7 +40,7 @@ inline telemetry::EventStore collect(
   std::vector<telemetry::EventWindow> windows;
   server.ingest(delivered, windows);
   server.finish(windows);
-  return telemetry::concat_windows(windows);
+  return concat_windows(windows);
 }
 
 }  // namespace longtail::test

@@ -13,7 +13,6 @@
 #include "dataset_fixture.hpp"
 #include "groundtruth/engines.hpp"
 #include "telemetry/streaming.hpp"
-#include "telemetry/transport.hpp"
 
 namespace longtail::deploy {
 namespace {
@@ -96,21 +95,7 @@ std::vector<telemetry::EventWindow> windowize(const telemetry::Corpus& corpus,
   cfg.num_files = corpus.files.size();
   cfg.trusted = true;
   telemetry::StreamingCollectionServer server(std::move(cfg), corpus.urls);
-  std::vector<telemetry::EventWindow> windows;
-  std::vector<telemetry::DeliveredReport> buffer;
-  const auto& events = corpus.events;
-  constexpr std::size_t kChunk = 10'000;
-  for (std::size_t begin = 0; begin < events.size(); begin += kChunk) {
-    const std::size_t end = std::min(events.size(), begin + kChunk);
-    buffer.clear();
-    for (std::size_t i = begin; i < end; ++i)
-      buffer.push_back(telemetry::DeliveredReport{
-          events[i], static_cast<std::uint64_t>(i), events[i].time(), 0,
-          false});
-    server.ingest(buffer, windows);
-  }
-  server.finish(windows);
-  return windows;
+  return telemetry::collect_in_order(server, corpus.events);
 }
 
 TEST(OnlineLabeler, WindowedServingMatchesBatchReplay) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "core/pipeline.hpp"
 #include "synth/dataset_io.hpp"
 #include "telemetry/faults.hpp"
+#include "tests/temp_dir.hpp"
 #include "util/hash.hpp"
 #include "util/profile.hpp"
 #include "util/thread_pool.hpp"
@@ -307,8 +307,8 @@ TEST_F(PipelineDeterminismTest, MigrationGateCachedLoadsMatchPreMigration) {
   // container regression on either the owned or the zero-copy mapped
   // path would surface here as a pin mismatch.
   util::set_global_threads(2);
-  const std::string path =
-      ::testing::TempDir() + "flat_table_migration_gate.ltds";
+  const test::TempDir dir;
+  const std::string path = dir.file("flat_table_migration_gate.ltds");
   {
     const auto pipeline = core::LongtailPipeline::generate(kScale);
     synth::save_dataset_binary(pipeline.dataset(), path);
@@ -325,7 +325,6 @@ TEST_F(PipelineDeterminismTest, MigrationGateCachedLoadsMatchPreMigration) {
               kPinnedCleanFingerprint);
     expect_pinned_tables(mapped, "mapped load");
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(PipelineDeterminismTest, MigrationGateFaultedRunMatchesPreMigration) {

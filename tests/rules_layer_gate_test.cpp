@@ -29,7 +29,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "core/pipeline.hpp"
 #include "deploy/online.hpp"
 #include "synth/dataset_io.hpp"
+#include "tests/temp_dir.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
@@ -192,7 +192,8 @@ TEST_F(RuleLayerGate, CachedLoadsMatchPins) {
   // Both corpus-cache load paths re-annotate a deserialized dataset; the
   // rule layer must not be able to tell them from a fresh run.
   util::set_global_threads(2);
-  const std::string path = ::testing::TempDir() + "rule_layer_gate.ltds";
+  const test::TempDir dir;
+  const std::string path = dir.file("rule_layer_gate.ltds");
   {
     const auto pipeline = core::LongtailPipeline::generate(kScale);
     synth::save_dataset_binary(pipeline.dataset(), path);
@@ -205,7 +206,6 @@ TEST_F(RuleLayerGate, CachedLoadsMatchPins) {
     const core::LongtailPipeline mapped(synth::load_dataset_mapped(path));
     expect_pinned(mapped, "mapped load");
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -36,10 +36,7 @@ std::vector<UrlMeta> two_urls() {
 // once and in order through the trusted path.
 EventStore filter(StreamingCollectionServer& server,
                   const std::vector<DownloadEvent>& raw) {
-  std::vector<DeliveredReport> delivered;
-  for (std::size_t i = 0; i < raw.size(); ++i)
-    delivered.push_back({raw[i], i, raw[i].time, 0, false});
-  return collect(server, delivered);
+  return test::concat_windows(collect_in_order(server, raw));
 }
 
 TEST(CollectionServer, AcceptsExecutedEvents) {

@@ -1,8 +1,9 @@
 // Streaming ingest invariants: for every window width and every chunking
 // of the delivered stream, the concatenation of the closed windows is
 // identical to one ingest of the whole stream into a single window — same
-// events, same order, same CollectionStats — and the §II-A conservation law holds at
-// every watermark, not just at end-of-stream. The trusted fast path must
+// events, same order, same CollectionStats — and the §II-A conservation
+// law holds at every watermark, not just at end-of-stream. The trusted
+// fast path, and `collect_in_order`'s delivery of the same events, must
 // be indistinguishable from the untrusted path on a fault-free stream.
 #include "telemetry/streaming.hpp"
 
@@ -13,6 +14,7 @@
 
 #include "telemetry/collection.hpp"
 #include "telemetry/transport.hpp"
+#include "tests/collection_harness.hpp"
 #include "tests/scoped_env.hpp"
 
 namespace longtail::telemetry {
@@ -116,6 +118,29 @@ void expect_same_events(const EventStore& a, const EventStore& b) {
   }
 }
 
+void expect_same_windows(const std::vector<EventWindow>& a,
+                         const std::vector<EventWindow>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "window " << i);
+    EXPECT_EQ(a[i].index, b[i].index);
+    EXPECT_EQ(a[i].begin, b[i].begin);
+    EXPECT_EQ(a[i].end, b[i].end);
+    expect_same_events(a[i].events, b[i].events);
+  }
+}
+
+StreamingCollectionServer make_stream_server(Timestamp window_s, bool trusted,
+                                             const std::vector<UrlMeta>& urls) {
+  StreamingConfig cfg;
+  cfg.policy = test_policy();
+  cfg.window_s = window_s;
+  cfg.num_files = kNumFiles;
+  cfg.period_end = kPeriodEnd;
+  cfg.trusted = trusted;
+  return StreamingCollectionServer(std::move(cfg), urls);
+}
+
 // Runs the stream through a StreamingCollectionServer in `chunk`-sized
 // pieces and returns (concatenated events, closed windows), checking the
 // conservation law after every chunk.
@@ -129,13 +154,7 @@ StreamResult stream_through(const std::vector<DeliveredReport>& delivered,
                             Timestamp window_s, std::size_t chunk,
                             bool trusted,
                             const std::vector<UrlMeta>& urls) {
-  StreamingConfig cfg;
-  cfg.policy = test_policy();
-  cfg.window_s = window_s;
-  cfg.num_files = kNumFiles;
-  cfg.period_end = kPeriodEnd;
-  cfg.trusted = trusted;
-  StreamingCollectionServer server(std::move(cfg), urls);
+  auto server = make_stream_server(window_s, trusted, urls);
 
   StreamResult out;
   for (std::size_t begin = 0; begin < delivered.size(); begin += chunk) {
@@ -155,7 +174,28 @@ StreamResult stream_through(const std::vector<DeliveredReport>& delivered,
       EXPECT_LT(w.events[i].time(), w.end);
     }
   }
-  out.events = concat_windows(out.windows);
+  out.events = test::concat_windows(out.windows);
+  out.stats = server.stats();
+  return out;
+}
+
+// The same stream delivered by `collect_in_order`, from `events` given as
+// a vector (`as_store` false) or as an EventStore.
+StreamResult collect_through(const std::vector<DownloadEvent>& events,
+                             Timestamp window_s, bool trusted, bool as_store,
+                             const std::vector<UrlMeta>& urls) {
+  auto server = make_stream_server(window_s, trusted, urls);
+  StreamResult out;
+  if (as_store) {
+    EventStore store;
+    for (const DownloadEvent& e : events) store.push_back(e);
+    out.windows = collect_in_order(server, store);
+  } else {
+    out.windows = collect_in_order(server, events);
+  }
+  EXPECT_TRUE(server.conserved());
+  EXPECT_EQ(server.pending(), 0u);
+  out.events = test::concat_windows(out.windows);
   out.stats = server.stats();
   return out;
 }
@@ -193,20 +233,32 @@ TEST(StreamingIngest, ConcatenationMatchesBatchForEveryWidthAndChunk) {
 TEST(StreamingIngest, TrustedPathMatchesUntrustedOnCleanStream) {
   const auto delivered = clean_stream();
   const auto urls = two_urls();
+  // clean_stream() numbers its reports by index and delivers each at its
+  // reported time — exactly what collect_in_order synthesizes.
+  std::vector<DownloadEvent> events;
+  for (const DeliveredReport& r : delivered) events.push_back(r.event);
+
   for (const Timestamp window_s : {Timestamp{0}, Timestamp{512}}) {
     SCOPED_TRACE(testing::Message() << "window_s=" << window_s);
     const auto untrusted =
         stream_through(delivered, window_s, 17, /*trusted=*/false, urls);
-    const auto trusted =
-        stream_through(delivered, window_s, 17, /*trusted=*/true, urls);
-    expect_same_events(trusted.events, untrusted.events);
-    expect_same_stats(trusted.stats, untrusted.stats);
-    ASSERT_EQ(trusted.windows.size(), untrusted.windows.size());
-    for (std::size_t i = 0; i < trusted.windows.size(); ++i) {
-      EXPECT_EQ(trusted.windows[i].begin, untrusted.windows[i].begin);
-      EXPECT_EQ(trusted.windows[i].end, untrusted.windows[i].end);
-      EXPECT_EQ(trusted.windows[i].events.size(),
-                untrusted.windows[i].events.size());
+    ASSERT_GT(untrusted.events.size(), 0u);
+    const auto check = [&](const StreamResult& r) {
+      expect_same_events(r.events, untrusted.events);
+      expect_same_stats(r.stats, untrusted.stats);
+      expect_same_windows(r.windows, untrusted.windows);
+    };
+    {
+      SCOPED_TRACE("trusted, hand-chunked");
+      check(stream_through(delivered, window_s, 17, /*trusted=*/true, urls));
+    }
+    for (const bool trusted : {false, true}) {
+      for (const bool as_store : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "collect_in_order trusted=" << trusted
+                     << " as_store=" << as_store);
+        check(collect_through(events, window_s, trusted, as_store, urls));
+      }
     }
   }
 }
@@ -214,12 +266,7 @@ TEST(StreamingIngest, TrustedPathMatchesUntrustedOnCleanStream) {
 TEST(StreamingIngest, FinishIsIdempotent) {
   const auto delivered = clean_stream();
   const auto urls = two_urls();
-  StreamingConfig cfg;
-  cfg.policy = test_policy();
-  cfg.window_s = 512;
-  cfg.num_files = kNumFiles;
-  cfg.period_end = kPeriodEnd;
-  StreamingCollectionServer server(std::move(cfg), urls);
+  auto server = make_stream_server(512, /*trusted=*/false, urls);
   std::vector<EventWindow> windows;
   server.ingest(delivered, windows);
   server.finish(windows);
