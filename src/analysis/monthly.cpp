@@ -1,7 +1,6 @@
 #include "analysis/monthly.hpp"
 
 #include "telemetry/scan.hpp"
-#include "util/stats.hpp"
 
 namespace longtail::analysis {
 
@@ -10,48 +9,11 @@ namespace {
 using groundtruth::UrlVerdict;
 using model::Verdict;
 
-// Slot of the overall row, after the eight calendar months.
+// The calendar months are slots 0-7 of the tally's counts; slot kOverall,
+// their union, is the overall row.
 constexpr std::size_t kOverall = model::kNumCalendarMonths;
 constexpr std::size_t kNumUrlVerdicts =
     static_cast<std::size_t>(UrlVerdict::kUnknown) + 1;
-
-// Distinct entities seen in each month, and in any month (slot kOverall),
-// split by verdict.
-template <std::size_t kVerdicts>
-struct Counts {
-  std::array<std::array<std::uint64_t, kVerdicts>, kOverall + 1> by_verdict{};
-  std::array<std::uint64_t, kOverall + 1> total{};
-
-  template <typename V>
-  [[nodiscard]] double pct(std::size_t slot, V v) const {
-    return util::percent(by_verdict[slot][static_cast<std::size_t>(v)],
-                         total[slot]);
-  }
-};
-
-// Verdict table of entities that have none (machines).
-struct NoVerdicts {
-  int operator[](std::size_t) const { return 0; }
-};
-
-template <std::size_t kVerdicts, typename Verdicts>
-Counts<kVerdicts> count_months(const std::vector<std::uint8_t>& months,
-                               const Verdicts& verdicts) {
-  Counts<kVerdicts> out;
-  for (std::size_t i = 0; i < months.size(); ++i) {
-    const unsigned seen = months[i];
-    if (seen == 0) continue;
-    const auto v = static_cast<std::size_t>(verdicts[i]);
-    for (std::size_t m = 0; m < kOverall; ++m) {
-      if (((seen >> m) & 1u) == 0) continue;
-      ++out.by_verdict[m][v];
-      ++out.total[m];
-    }
-    ++out.by_verdict[kOverall][v];
-    ++out.total[kOverall];
-  }
-  return out;
-}
 
 void or_into(std::vector<std::uint8_t>& to,
              const std::vector<std::uint8_t>& from) {
@@ -86,12 +48,16 @@ void MonthlyTally::merge(const MonthlyTally& other) {
 
 MonthlySummary summarize_tally(const AnnotatedCorpus& a,
                                const MonthlyTally& t) {
-  const auto machines = count_months<1>(t.machines, NoVerdicts{});
-  const auto procs =
-      count_months<model::kNumVerdicts>(t.processes, a.labels.process_verdicts);
-  const auto files =
-      count_months<model::kNumVerdicts>(t.files, a.labels.file_verdicts);
-  const auto urls = count_months<kNumUrlVerdicts>(t.urls, a.url_verdicts);
+  const auto verdict_of = [](const auto& verdicts) {
+    return [&verdicts](std::size_t i) { return verdicts[i]; };
+  };
+  const auto machines = count_slots<kOverall>(t.machines);
+  const auto procs = count_slots<kOverall, model::kNumVerdicts>(
+      t.processes, verdict_of(a.labels.process_verdicts));
+  const auto files = count_slots<kOverall, model::kNumVerdicts>(
+      t.files, verdict_of(a.labels.file_verdicts));
+  const auto urls = count_slots<kOverall, kNumUrlVerdicts>(
+      t.urls, verdict_of(a.url_verdicts));
 
   auto row = [&](std::size_t slot, std::uint64_t events) {
     MonthlyRow r;

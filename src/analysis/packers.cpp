@@ -43,6 +43,9 @@ PackerStats packer_stats(const AnnotatedCorpus& a, std::size_t max_examples) {
   std::unordered_set<std::uint32_t> all = benign_packers;
   all.insert(malicious_packers.begin(), malicious_packers.end());
   out.distinct_packers = all.size();
+  // Order contract: the example lists follow this std::unordered_set's
+  // iteration order, a standard-library internal, and table_packers
+  // prints them ("INNO, UPX"). Another library could pick other examples.
   for (const auto p : all) {
     const bool in_b = benign_packers.contains(p);
     const bool in_m = malicious_packers.contains(p);

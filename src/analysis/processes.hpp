@@ -1,13 +1,20 @@
-// Downloading-process analysis (§V-A, §VI-A):
+// Downloading-process analysis (§V-A, §V-B, §VI-A):
 //   * Table X   — download behaviour of *known benign* processes, grouped
 //                 into browsers / Windows / Java / Acrobat Reader / other;
 //   * Table XI  — download behaviour per browser;
+//   * Table XII — download behaviour of malicious processes per type
+//                 (declared in analysis/malproc.hpp, defined here);
 //   * Table XIV — process categories downloading unknown files.
+//
+// Each table puts every process in at most one row. One scan keeps the
+// events of the processes that have a row; a serial pass sets the row's
+// bit in a word per process, machine, infected machine and file; and
+// Table I's counter, `count_slots` (analysis/monthly.hpp), counts the
+// bits of each row and of their union.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <unordered_set>
 
 #include "analysis/annotated.hpp"
 
@@ -23,24 +30,6 @@ struct ProcessBehaviorRow {
   std::array<double, model::kNumMalwareTypes> type_pct{};  // of malicious
 };
 
-// The accumulator behind one row of Tables X, XI and XII: folds the
-// download events of the row's processes, merges scan shards, and
-// finishes into a ProcessBehaviorRow.
-struct RowAccumulator {
-  std::unordered_set<std::uint32_t> processes, machines, infected;
-  std::unordered_set<std::uint32_t> unknown_files, benign_files,
-      malicious_files;
-  std::array<std::uint64_t, model::kNumMalwareTypes> type_file_counts{};
-  std::unordered_set<std::uint32_t> counted_malicious;
-
-  void add(const AnnotatedCorpus& a, const telemetry::EventStore::EventRef& e);
-  // Absorb another shard's accumulator. The per-type file counts are
-  // replayed through `counted_malicious` insertions so each malicious file
-  // is counted exactly once globally, matching the serial pass.
-  void merge(const AnnotatedCorpus& a, RowAccumulator&& o);
-  [[nodiscard]] ProcessBehaviorRow finish() const;
-};
-
 // Table X. Only events whose process is labeled benign are counted, as in
 // the paper (malware may masquerade as a browser; the whitelist check
 // filters it).
@@ -51,8 +40,9 @@ benign_process_behavior(const AnnotatedCorpus& a);
 std::array<ProcessBehaviorRow, model::kNumBrowserKinds> browser_behavior(
     const AnnotatedCorpus& a);
 
-// Table XIV: number of unknown-file downloads per benign process
-// category, plus the total.
+// Table XIV: distinct unknown files downloaded per benign process
+// category, and their sum over the categories (a file that two categories
+// download counts in both).
 struct UnknownDownloads {
   std::array<std::uint64_t, model::kNumProcessCategories> by_category{};
   std::uint64_t total = 0;

@@ -1,7 +1,6 @@
 #include "analysis/signers.hpp"
 
 #include <unordered_map>
-#include <unordered_set>
 
 #include "telemetry/scan.hpp"
 #include "util/stats.hpp"
@@ -78,34 +77,32 @@ SigningRates signing_rates(const AnnotatedCorpus& a,
 
 namespace {
 
-struct SignerSets {
-  std::unordered_set<std::uint32_t> benign_signers;
-  std::array<std::unordered_set<std::uint32_t>, model::kNumMalwareTypes>
-      type_signers;
-  std::unordered_set<std::uint32_t> malicious_signers;
-  // Per-signer file counts.
+// Per-signer file counts. A signer signs files of a class exactly when
+// its count there is nonzero, so each counter's keys are its signer set.
+struct SignerCounts {
   util::TopK<std::uint32_t> benign_counts, malicious_counts;
   std::array<util::TopK<std::uint32_t>, model::kNumMalwareTypes> type_counts;
+
+  [[nodiscard]] bool signs_benign(std::uint32_t signer) const {
+    return benign_counts.count(signer) > 0;
+  }
 };
 
-SignerSets collect_signers(const AnnotatedCorpus& a) {
+SignerCounts collect_signers(const AnnotatedCorpus& a) {
   const auto& observed = a.index.observed_files();
   return telemetry::scan_reduce_indexed(
-      observed.size(), [] { return SignerSets{}; },
-      [&](SignerSets& s, std::size_t i) {
+      observed.size(), [] { return SignerCounts{}; },
+      [&](SignerCounts& s, std::size_t i) {
         const auto f = observed[i];
         const auto& meta = a.corpus->files[f.raw()];
         if (!meta.is_signed) return;
         const auto signer = meta.signer.raw();
         switch (a.verdict(f)) {
           case Verdict::kBenign:
-            s.benign_signers.insert(signer);
             s.benign_counts.add(signer);
             break;
           case Verdict::kMalicious: {
             const auto t = static_cast<std::size_t>(a.type_of(f));
-            s.type_signers[t].insert(signer);
-            s.malicious_signers.insert(signer);
             s.malicious_counts.add(signer);
             s.type_counts[t].add(signer);
             break;
@@ -114,15 +111,11 @@ SignerSets collect_signers(const AnnotatedCorpus& a) {
             break;
         }
       },
-      [](SignerSets& total, SignerSets&& shard) {
-        total.benign_signers.merge(shard.benign_signers);
-        total.malicious_signers.merge(shard.malicious_signers);
+      [](SignerCounts& total, SignerCounts&& shard) {
         total.benign_counts.merge(shard.benign_counts);
         total.malicious_counts.merge(shard.malicious_counts);
-        for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t) {
-          total.type_signers[t].merge(shard.type_signers[t]);
+        for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t)
           total.type_counts[t].merge(shard.type_counts[t]);
-        }
       },
       "analysis.collect_signers");
 }
@@ -130,23 +123,24 @@ SignerSets collect_signers(const AnnotatedCorpus& a) {
 }  // namespace
 
 SignerOverlap signer_overlap(const AnnotatedCorpus& a) {
-  const SignerSets s = collect_signers(a);
+  const SignerCounts s = collect_signers(a);
+  auto overlap = [&](const util::TopK<std::uint32_t>& counts) {
+    SignerOverlapRow row;
+    row.signers = counts.distinct();
+    for (const auto& [signer, n] : counts.raw())
+      if (s.signs_benign(signer)) ++row.common_with_benign;
+    return row;
+  };
   SignerOverlap out;
-  for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t) {
-    out.per_type[t].signers = s.type_signers[t].size();
-    for (const auto signer : s.type_signers[t])
-      if (s.benign_signers.contains(signer))
-        ++out.per_type[t].common_with_benign;
-  }
-  out.total.signers = s.malicious_signers.size();
-  for (const auto signer : s.malicious_signers)
-    if (s.benign_signers.contains(signer)) ++out.total.common_with_benign;
+  for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t)
+    out.per_type[t] = overlap(s.type_counts[t]);
+  out.total = overlap(s.malicious_counts);
   return out;
 }
 
 TopSigners top_signers(const AnnotatedCorpus& a, std::size_t top_k,
                        std::size_t table9_k) {
-  const SignerSets s = collect_signers(a);
+  const SignerCounts s = collect_signers(a);
   TopSigners out;
 
   auto split_top = [&](const util::TopK<std::uint32_t>& counts,
@@ -155,7 +149,7 @@ TopSigners top_signers(const AnnotatedCorpus& a, std::size_t top_k,
     for (const auto& [signer, count] : counts.top(want)) {
       const auto name = a.corpus->signer_names.at(signer);
       if (row.top.size() < top_k) row.top.emplace_back(name, count);
-      if (s.benign_signers.contains(signer)) {
+      if (s.signs_benign(signer)) {
         if (row.top_common.size() < top_k)
           row.top_common.emplace_back(name, count);
       } else if (row.top_exclusive.size() < top_k) {
@@ -170,14 +164,14 @@ TopSigners top_signers(const AnnotatedCorpus& a, std::size_t top_k,
   for (const auto& [signer, count] :
        s.benign_counts.top(s.benign_counts.distinct())) {
     if (out.top_benign_exclusive.size() >= table9_k) break;
-    if (!s.malicious_signers.contains(signer))
+    if (s.malicious_counts.count(signer) == 0)
       out.top_benign_exclusive.emplace_back(a.corpus->signer_names.at(signer),
                                             count);
   }
   for (const auto& [signer, count] :
        s.malicious_counts.top(s.malicious_counts.distinct())) {
     if (out.top_malicious_exclusive.size() >= table9_k) break;
-    if (!s.benign_signers.contains(signer))
+    if (!s.signs_benign(signer))
       out.top_malicious_exclusive.emplace_back(
           a.corpus->signer_names.at(signer), count);
   }
@@ -186,13 +180,11 @@ TopSigners top_signers(const AnnotatedCorpus& a, std::size_t top_k,
 
 std::vector<CommonSignerPoint> common_signers(const AnnotatedCorpus& a,
                                               std::size_t top_k) {
-  const SignerSets s = collect_signers(a);
+  const SignerCounts s = collect_signers(a);
   util::TopK<std::uint32_t> total;
-  for (const auto signer : s.malicious_signers) {
-    if (!s.benign_signers.contains(signer)) continue;
-    total.add(signer, s.benign_counts.count(signer) +
-                          s.malicious_counts.count(signer));
-  }
+  for (const auto& [signer, n] : s.malicious_counts.raw())
+    if (s.signs_benign(signer))
+      total.add(signer, s.benign_counts.count(signer) + n);
   std::vector<CommonSignerPoint> out;
   for (const auto& [signer, count] : total.top(top_k))
     out.push_back({a.corpus->signer_names.at(signer),

@@ -54,32 +54,26 @@ PrevalenceReputation::PrevalenceReputation(
     machine_risk_[machine] =
         static_cast<float>(c.malicious + 1) /
         static_cast<float>(c.malicious + c.benign + 2);
-
-  // File -> machines over the whole corpus (test-window files included).
-  file_machines_ = telemetry::scan_reduce(
-      *a.corpus, [] { return decltype(file_machines_){}; },
-      [](decltype(file_machines_)& m, const auto& e) {
-        m[e.file().raw()].push_back(e.machine().raw());
-      },
-      merge_vec_map, "baselines.prevalence_index");
 }
 
 BaselineVerdict PrevalenceReputation::classify(
-    const analysis::AnnotatedCorpus& /*a*/, model::FileId file) const {
-  // Gather the distinct machines holding the file. First-occurrence
-  // (corpus) order, so the risk sum below is order-deterministic.
-  util::FlatSet<std::uint32_t> machines;
-  const auto* events = file_machines_.find(file.raw());
-  if (events == nullptr) return BaselineVerdict::kAbstain;
-  for (const auto m : *events) machines.insert(m);
-
+    const analysis::AnnotatedCorpus& a, model::FileId file) const {
+  // The distinct machines holding the file, over the whole corpus, in
+  // machine-id order. Each risk is a float of at least 2^-25 (no machine
+  // has 2^25 training downloads), so a multiple of 2^-48, and the
+  // collection server caps a file at sigma = 20 machines: every partial
+  // sum below is a multiple of 2^-48 under 2^5, exact in a double in any
+  // order.
+  const auto& reach = a.index.reach();
+  if (file.raw() >= reach.num_files()) return BaselineVerdict::kAbstain;
+  const auto machines = reach.machines(file);
   if (machines.size() < config_.min_prevalence)
     return BaselineVerdict::kAbstain;  // Polonium's blind spot
 
   double risk_sum = 0;
   std::uint32_t known = 0;
   for (const auto m : machines) {
-    if (const float* risk = machine_risk_.find(m); risk != nullptr) {
+    if (const float* risk = machine_risk_.find(m.raw()); risk != nullptr) {
       risk_sum += *risk;
       ++known;
     }

@@ -64,7 +64,9 @@ struct BaselineEval {
 // Polonium-style: machine reputation <-> file belief, one propagation
 // sweep. A machine is reputable when it holds mostly benign files; a
 // file's maliciousness belief aggregates its machines' reputations.
-// Files below `min_prevalence` are abstained on.
+// Files below `min_prevalence` are abstained on. A file's machines are
+// the corpus index's (`a.index.reach()`); only the machine risks are
+// learned here.
 struct PrevalenceReputationConfig {
   std::uint32_t min_prevalence = 2;  // Polonium cannot score singletons
   double malicious_threshold = 0.62;
@@ -87,8 +89,6 @@ class PrevalenceReputation {
   // classify() probes one risk entry per distinct machine of the file —
   // the baseline's hot lookup.
   util::FlatMap<std::uint32_t, float> machine_risk_;
-  // file -> distinct machines (whole corpus; prevalence is sigma-capped).
-  util::FlatMap<std::uint32_t, std::vector<std::uint32_t>> file_machines_;
 };
 
 // CAMP/Amico-style: per-domain malicious ratio learned from the training

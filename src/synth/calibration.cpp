@@ -157,11 +157,11 @@ CalibrationProfile paper_calibration(double scale) {
   c.signing.unknown_browser_signed = 0.421;
 
   // ---- Table VII: signer pools ----------------------------------------
-  c.signers.type_signers = {};
+  c.signers.per_type = {};
   c.signers.common_with_benign = {};
   auto set_signers = [&](MalwareType t, std::uint32_t total,
                          std::uint32_t common) {
-    c.signers.type_signers[idx(t)] = total;
+    c.signers.per_type[idx(t)] = total;
     c.signers.common_with_benign[idx(t)] = common;
   };
   set_signers(MalwareType::kTrojan, 426, 71);
@@ -175,7 +175,7 @@ CalibrationProfile paper_calibration(double scale) {
   set_signers(MalwareType::kAdware, 532, 77);
   set_signers(MalwareType::kPup, 691, 108);
   set_signers(MalwareType::kUndefined, 1'025, 339);
-  c.signers.benign_signers = 3'000;  // not published; Fig. 4-consistent
+  c.signers.benign = 3'000;  // not published; Fig. 4-consistent
 
   // ---- Unknown-file hidden nature --------------------------------------
   c.unknown_nature.benign_fraction = 0.40;

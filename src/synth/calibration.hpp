@@ -88,9 +88,9 @@ struct SigningCalibration {
 
 // Table VII: signer-pool structure.
 struct SignerCalibration {
-  std::array<std::uint32_t, model::kNumMalwareTypes> type_signers{};
+  std::array<std::uint32_t, model::kNumMalwareTypes> per_type{};
   std::array<std::uint32_t, model::kNumMalwareTypes> common_with_benign{};
-  std::uint32_t benign_signers = 0;
+  std::uint32_t benign = 0;
 };
 
 // §IV-C: packers.

@@ -7,7 +7,7 @@ const CuratedNames& curated_names() {
     CuratedNames n;
 
     // Table IX (left) and Table VIII benign rows.
-    n.benign_signers = {
+    n.benign_only_signers = {
         "TeamViewer", "Blizzard Entertainment", "Lespeed Technology Ltd.",
         "Hamrick Software", "Dell Inc.", "Google Inc", "NVIDIA Corporation",
         "Softland S.R.L.", "Adobe Systems Incorporated", "Recovery Toolbox",
@@ -29,7 +29,7 @@ const CuratedNames& curated_names() {
 
     // Tables VIII/IX malicious-exclusive columns, plus the signers named in
     // the paper's example rules (§VI-C, §VII).
-    n.malicious_signers = {
+    n.malicious_only_signers = {
         "Somoto Ltd.", "ISBRInstaller", "Somoto Israel", "Apps Installer SL",
         "SecureInstall", "Firseria", "Amonetize ltd.", "JumpyApps",
         "ClientConnect LTD", "Media Ingea SL", "RAPIDDOWN", "Sevas-S LLC",

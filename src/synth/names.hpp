@@ -14,10 +14,10 @@
 namespace longtail::synth {
 
 struct CuratedNames {
-  // Signers.
-  std::vector<std::string> benign_signers;     // exclusively sign benign
-  std::vector<std::string> shared_signers;     // sign both benign and malware
-  std::vector<std::string> malicious_signers;  // exclusively sign malware
+  // Signers. Shared signers sign both benign files and malware.
+  std::vector<std::string> benign_only_signers;
+  std::vector<std::string> shared_signers;
+  std::vector<std::string> malicious_only_signers;
 
   // Certification authorities.
   std::vector<std::string> cas;

@@ -67,22 +67,22 @@ World build_world(const CalibrationProfile& profile, util::Rng& rng,
   std::uint32_t common_total = 0, signers_total = 0;
   for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t) {
     common_total += profile.signers.common_with_benign[t];
-    signers_total += profile.signers.type_signers[t];
+    signers_total += profile.signers.per_type[t];
   }
   (void)common_total;
   (void)signers_total;
   const std::size_t n_mal_excl = profile.scaled(1'870 - 513);
   const std::size_t n_benign_excl =
-      profile.scaled(profile.signers.benign_signers - 513);
+      profile.scaled(profile.signers.benign - 513);
 
   auto shared_ids =
       fill_pool(w.corpus.signer_names, names.shared_signers, n_shared, rng,
                 synth_company_name);
   auto mal_excl_ids =
-      fill_pool(w.corpus.signer_names, names.malicious_signers, n_mal_excl,
+      fill_pool(w.corpus.signer_names, names.malicious_only_signers, n_mal_excl,
                 rng, synth_company_name);
   auto benign_excl_ids =
-      fill_pool(w.corpus.signer_names, names.benign_signers, n_benign_excl,
+      fill_pool(w.corpus.signer_names, names.benign_only_signers, n_benign_excl,
                 rng, synth_company_name);
 
   // signer -> CA (stable per signer; a learnable feature).
@@ -111,7 +111,7 @@ World build_world(const CalibrationProfile& profile, util::Rng& rng,
   }
 
   // Per-type pools: scaled(common[t]) signers from the shared pool plus
-  // scaled(type_signers[t] - common[t]) from the malicious-exclusive pool,
+  // scaled(per_type[t] - common[t]) from the malicious-exclusive pool,
   // drawn with a per-type offset so pools overlap across types the way the
   // table's totals require.
   for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t) {
@@ -121,7 +121,7 @@ World build_world(const CalibrationProfile& profile, util::Rng& rng,
     // signer window month by month (certificate churn), so a type's pool
     // must hold several windows' worth of exclusive signers.
     const std::size_t want_excl =
-        3 * profile.scaled(profile.signers.type_signers[t] -
+        3 * profile.scaled(profile.signers.per_type[t] -
                            profile.signers.common_with_benign[t]);
     auto& pool = w.type_signer_pool[t];
     const std::size_t excl_off = rng.uniform(mal_excl_ids.size());

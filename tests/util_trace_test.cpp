@@ -110,8 +110,9 @@ TEST_F(TraceTest, SnapshotOrderedByStartTime) {
   ASSERT_EQ(events.size(), 3u);
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_LE(events[i - 1].start_ns, events[i].start_ns);
-    if (events[i - 1].start_ns == events[i].start_ns)
+    if (events[i - 1].start_ns == events[i].start_ns) {
       EXPECT_LT(events[i - 1].id, events[i].id);
+    }
   }
 }
 
