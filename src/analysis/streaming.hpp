@@ -10,13 +10,16 @@
 // (telemetry/index.hpp) — and each snapshot runs the same finisher as the
 // batch call, so a snapshot is bit-identical to the batch analysis of the
 // events absorbed so far. `absorb` folds each event of a window into both
-// in one loop. Both accumulators depend only on the set of events added,
-// so window width and ingest chunking cannot affect the result.
+// in one loop, prefetching the file's reach record and the process row a
+// few events ahead (util/prefetch.hpp). Both accumulators depend only on
+// the set of events added, so window width and ingest chunking cannot
+// affect the result.
 //
-// Per-file state is bounded: accepted events only carry machines admitted
-// below the collection cap sigma, so the distinct-machine list per file
-// holds at most sigma entries (telemetry::PrevalenceTracker enforces the
-// same bound upstream).
+// Per-file state is sized by the data: a file's reach keeps its first
+// machine inline and allocates only at its second distinct machine
+// (telemetry/file_machines.hpp). Accepted events carry only machines
+// admitted below the collection cap sigma, so a file's set never exceeds
+// sigma entries.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +41,9 @@ class StreamingAnalytics {
   explicit StreamingAnalytics(const telemetry::Corpus& corpus);
 
   // Folds one closed window of accepted events into the running state.
+  // Throws std::out_of_range, before folding any event of the window, when
+  // an event's machine, process, file or url id is outside the corpus
+  // tables (ingest quarantines only bad url and file ids).
   void absorb(const telemetry::EventWindow& w);
 
   // Snapshots at the current window boundary. `a` supplies labels and
@@ -55,6 +61,7 @@ class StreamingAnalytics {
   }
 
  private:
+  const telemetry::Corpus* corpus_;
   MonthlyTally monthly_;
   telemetry::FileReach reach_;
   std::size_t windows_ = 0;

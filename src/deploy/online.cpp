@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "groundtruth/engines.hpp"
 #include "model/time.hpp"
 #include "util/metrics.hpp"
+#include "util/prefetch.hpp"
 #include "util/stats.hpp"
 #include "util/trace.hpp"
 
@@ -28,7 +29,6 @@ OnlineLabeler::OnlineLabeler(const synth::Dataset& dataset,
       config_(config),
       extract_(annotated_, space_),
       learner_(config_.part),
-      month_stamp_(annotated_.corpus->files.size(), 0),
       fresh_(annotated_.corpus->files.size()) {}
 
 std::vector<features::Instance> OnlineLabeler::training_window(
@@ -120,12 +120,35 @@ void OnlineLabeler::note_decision(model::FileId f, model::Timestamp t) {
   if (t < fs.labeled_at) fs.labeled_at = t;
 }
 
+void OnlineLabeler::serve_events(const telemetry::EventStore& events) {
+  const auto& c = *annotated_.corpus;
+  const auto files = events.file_column();
+  const auto processes = events.process_column();
+  const auto urls = events.url_column();
+  constexpr std::string_view kWho = "OnlineLabeler";
+  telemetry::require_ids_below(files, fresh_.size(), kWho, "file");
+  telemetry::require_ids_below(processes, c.processes.size(), kWho,
+                               "process");
+  telemetry::require_ids_below(urls, c.urls.size(), kWho, "url");
+  // The rows serve_event reads at data-dependent addresses, for the event
+  // kPrefetchAhead ahead. The ids were checked above; the verdict table
+  // is the annotation's, so its bound is tested here.
+  const auto& verdicts = annotated_.labels.file_verdicts;
+  const auto prefetch = [&](std::size_t i) {
+    const model::FileId f = files[i];
+    __builtin_prefetch(&fresh_[f.raw()], 1);
+    __builtin_prefetch(&c.files[f.raw()]);
+    __builtin_prefetch(&dataset_.vt.query(f));
+    if (f.raw() < verdicts.size()) __builtin_prefetch(&verdicts[f.raw()]);
+    __builtin_prefetch(&c.processes[processes[i].raw()]);
+    __builtin_prefetch(&c.urls[urls[i].raw()]);
+  };
+  util::for_each_ahead(events.size(), prefetch,
+                       [&](std::size_t i) { serve_event(events[i]); });
+}
+
 void OnlineLabeler::serve_event(const model::DownloadEvent& e) {
   assert(!finished_);
-  if (e.file.raw() >= fresh_.size())
-    throw std::out_of_range("OnlineLabeler: event file id " +
-                            std::to_string(e.file.raw()) +
-                            " is outside the corpus file table");
   const auto m = static_cast<std::size_t>(model::month_of(e.time));
   while (current_month_ < m) roll_month();
   ++events_served_;
@@ -161,9 +184,10 @@ void OnlineLabeler::serve_event(const model::DownloadEvent& e) {
 
   // First download of each file this month feeds next month's training.
   const auto stamp = static_cast<std::uint8_t>(current_month_ + 1);
+  auto& fs = fresh_[e.file.raw()];
   if (current_month_ + 1 < model::kNumCollectionMonths &&
-      month_stamp_[e.file.raw()] != stamp) {
-    month_stamp_[e.file.raw()] = stamp;
+      fs.month_stamp != stamp) {
+    fs.month_stamp = stamp;
     month_firsts_.push_back(e);
   }
 }
@@ -173,8 +197,7 @@ void OnlineLabeler::serve(const telemetry::EventWindow& window) {
       "deploy.serve_window",
       "events=" + std::to_string(window.events.size()));
   LONGTAIL_METRIC_TIMER("deploy.serve_ms");
-  for (std::size_t i = 0; i < window.events.size(); ++i)
-    serve_event(window.events[i]);
+  serve_events(window.events);
   if (window.events.size() > peak_window_events_)
     peak_window_events_ = window.events.size();
   LONGTAIL_METRIC_COUNT("deploy.serve.windows", 1);
@@ -222,8 +245,7 @@ void OnlineLabeler::finish() {
 std::vector<MonthlyDeployStats> OnlineLabeler::run() {
   LONGTAIL_TRACE_SPAN("deploy.online_run");
   assert(!finished_ && events_served_ == 0);
-  const auto& events = annotated_.corpus->events;
-  for (std::size_t i = 0; i < events.size(); ++i) serve_event(events[i]);
+  serve_events(annotated_.corpus->events);
   finish();
   return monthly_;
 }

@@ -24,11 +24,13 @@
 // whole corpus as a single stream, so windowed serving and one-shot replay
 // are bit-identical by construction.
 //
-// Serving state is dense: file ids index flat per-file arrays (freshness
-// and a month stamp that admits each file once per month to the next
-// retrain's list), so serving an event allocates nothing beyond appending
-// to that list, and a file's label time is found without copying its VT
-// report.
+// Serving state is dense: a file id indexes one flat serving record
+// (freshness, and a month stamp that admits the file once per month to
+// the next retrain's list), so serving an event reads one per-file record,
+// allocates nothing beyond appending to that list, and finds a file's
+// label time without copying its VT report. The loop prefetches the
+// per-file and per-entity rows an event reads a few events ahead
+// (util/prefetch.hpp), so a window's cache misses overlap.
 //
 // Comparing the per-month results against the retrospective Table XVII
 // quantifies how much accuracy the two-year label maturation is worth.
@@ -127,8 +129,9 @@ class OnlineLabeler {
 
   // Streaming serving loop: consume one closed ingest window. Windows
   // must arrive in stream order (as emitted by the collection server).
-  // Throws std::out_of_range on an event whose file id is outside the
-  // annotated corpus's file table (ingest quarantines those).
+  // Throws std::out_of_range, before serving any event of the window, when
+  // an event's file, process or url id is outside the annotated corpus's
+  // tables (ingest quarantines bad file and url ids).
   void serve(const telemetry::EventWindow& window);
   // End of stream: trains through the final month boundary and finalizes
   // freshness accounting. Idempotent.
@@ -156,11 +159,17 @@ class OnlineLabeler {
   static constexpr model::Timestamp kNever =
       std::numeric_limits<model::Timestamp>::max();
 
+  // One file's serving record.
   struct FileFreshness {
     model::Timestamp first_report = kNever;  // kNever until reported
     model::Timestamp labeled_at = kNever;    // kNever if no label yet
+    // 1 + the last month whose `month_firsts_` took the file's download
+    // (0: none yet). Never reset: each month has its own value.
+    std::uint8_t month_stamp = 0;
   };
 
+  // Checks the ids of every event, then serves them in order.
+  void serve_events(const telemetry::EventStore& events);
   void serve_event(const model::DownloadEvent& e);
   // Advance the serving clock past `current_month_`: train next month's
   // classifier from this month's first-download instances.
@@ -192,23 +201,19 @@ class OnlineLabeler {
   features::FeatureExtractor extract_;
   rules::PartLearner learner_;
 
-  // Serving state. Every per-file vector is indexed by file id and sized
-  // from the annotated corpus's file table; serve_event rejects any other
-  // id.
+  // Serving state. serve_events rejects an id outside the corpus tables.
   std::size_t current_month_ = 0;  // calendar month being served
   std::optional<rules::RuleClassifier> classifier_;
   // This month's first download of each file, in arrival order; the next
   // retrain extracts it in ascending file-id order.
   std::vector<model::DownloadEvent> month_firsts_;
-  // Per file: 1 + the last month whose `month_firsts_` took its download
-  // (0: none yet). Stamps are never reset: each month has its own value.
-  std::vector<std::uint8_t> month_stamp_;
   std::vector<MonthlyDeployStats> monthly_;
   std::uint64_t events_served_ = 0;
   std::uint64_t peak_window_events_ = 0;
   bool finished_ = false;
 
-  // Freshness state, per file.
+  // Serving records, indexed by file id and sized from the annotated
+  // corpus's file table.
   std::vector<FileFreshness> fresh_;
   FreshnessStats freshness_;
 };

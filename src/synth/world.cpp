@@ -8,6 +8,7 @@
 
 #include "synth/names.hpp"
 #include "util/hash.hpp"
+#include "util/trace.hpp"
 
 namespace longtail::synth {
 
@@ -50,6 +51,7 @@ std::vector<std::uint32_t> fill_pool(util::StringInterner& interner,
 
 World build_world(const CalibrationProfile& profile, util::Rng& rng,
                   groundtruth::AvSimulator& avsim) {
+  LONGTAIL_TRACE_SPAN("synth.build_world");
   World w;
   w.profile = profile;
   const CuratedNames& names = curated_names();

@@ -10,8 +10,10 @@
 //      (e.g. major-vendor software-update domains).
 //
 // This header holds the rule configuration (`CollectionPolicy`), the
-// per-rule drop counters (`CollectionStats`) and the bounded prevalence
-// state (`PrevalenceTracker`). The server that applies them is
+// per-rule drop counters (`CollectionStats`) and the prevalence state
+// (`PrevalenceTracker`: per file id, the machines admitted below sigma,
+// kept in a dense `FileMachines` table sized by the server's file table).
+// The server that applies them is
 // `telemetry::StreamingCollectionServer` (streaming.hpp): its trusted path
 // replays an exactly-once, time-ordered agent stream through the rules;
 // its untrusted path first hardens a stream that crossed a faulty channel
@@ -32,10 +34,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "model/ids.hpp"
+#include "telemetry/file_machines.hpp"
 #include "util/flat_table.hpp"
 
 namespace longtail::telemetry {
@@ -73,43 +76,34 @@ struct CollectionStats {
   }
 };
 
-// Bounded per-file prevalence state. The §II-A rule only ever needs the
-// identities of machines admitted *below* sigma — membership decides
-// whether a repeat download from an admitted machine is still reportable —
-// so the stored set is structurally capped at sigma entries and kept as a
-// sorted inline vector (a handful of contiguous u32s) instead of a
-// node-based hash set per file. Under long-lived streaming ingest the
-// per-file footprint is therefore a small constant, and saturated files
-// answer the common "new machine past the cap" probe with one flag load.
+// The §II-A prevalence state: per file, the machines admitted below sigma.
+// Membership decides whether a repeat download from an admitted machine
+// is still reportable, so the set never grows past sigma. It is a
+// `FileMachines` table indexed by file id: a file seen on one machine (the
+// long tail's common case) keeps that machine inline and allocates
+// nothing. A file's first machine is always admitted, so sigma = 0 caps a
+// file like sigma = 1.
 class PrevalenceTracker {
  public:
-  explicit PrevalenceTracker(std::uint32_t sigma = 20) noexcept
-      : sigma_(sigma) {}
+  // `num_files` sizes the table; a larger file id grows it.
+  explicit PrevalenceTracker(std::uint32_t sigma = 20,
+                             std::size_t num_files = 0)
+      : sigma_(sigma), machines_(num_files) {}
 
   // Applies the prevalence rule for one executed event: returns true when
   // the event is reportable (machine already admitted, or cap not yet
   // reached — the machine is then admitted).
   bool admit(model::FileId f, model::MachineId m) {
-    FileState& e = files_[f.raw()];
-    const std::uint32_t machine = m.raw();
-    const auto it =
-        std::lower_bound(e.machines.begin(), e.machines.end(), machine);
-    if (it != e.machines.end() && *it == machine) return true;  // repeat
-    if (e.saturated) return false;  // new machine past the cap
-    e.machines.insert(it, machine);
-    if (e.machines.size() >= sigma_) e.saturated = true;
-    return true;
+    return machines_.insert(f, m, cap());
   }
 
   // Distinct machines admitted for `f`; capped at sigma by construction.
   [[nodiscard]] std::uint32_t prevalence(model::FileId f) const {
-    const FileState* e = files_.find(f.raw());
-    return e == nullptr ? 0 : static_cast<std::uint32_t>(e->machines.size());
+    return machines_.count(f);
   }
 
   [[nodiscard]] bool saturated(model::FileId f) const {
-    const FileState* e = files_.find(f.raw());
-    return e != nullptr && e->saturated;
+    return machines_.count(f) >= cap();
   }
 
   // Files whose admitted-machine set hit the cap (new machines on them
@@ -118,27 +112,29 @@ class PrevalenceTracker {
   // unchanged — the observable signature of the §VII prevalence-filter
   // evasion the scenario sweep measures.
   [[nodiscard]] std::uint64_t saturated_files() const {
-    std::uint64_t n = 0;
-    for (const auto& [f, e] : files_)
-      if (e.saturated) ++n;
-    return n;
+    return count_files(cap());
   }
 
   // Files with at least one admitted machine.
-  [[nodiscard]] std::uint64_t tracked_files() const { return files_.size(); }
+  [[nodiscard]] std::uint64_t tracked_files() const { return count_files(1); }
 
   [[nodiscard]] std::uint32_t sigma() const noexcept { return sigma_; }
 
  private:
-  struct FileState {
-    std::vector<std::uint32_t> machines;  // sorted; <= sigma entries
-    bool saturated = false;
-  };
+  [[nodiscard]] std::uint32_t cap() const noexcept {
+    return std::max<std::uint32_t>(sigma_, 1);
+  }
+  // Files with at least `n` admitted machines; one pass over the table.
+  [[nodiscard]] std::uint64_t count_files(std::uint32_t n) const {
+    std::uint64_t files = 0;
+    for (std::size_t f = 0; f < machines_.size(); ++f)
+      if (machines_.count(model::FileId{static_cast<std::uint32_t>(f)}) >= n)
+        ++files;
+    return files;
+  }
+
   std::uint32_t sigma_;
-  // One admit() probe per executed event — the hottest single lookup in
-  // the §II-A path. Insertion-order iteration keeps saturated_files()
-  // deterministic.
-  util::FlatMap<std::uint32_t, FileState> files_;
+  FileMachines machines_;
 };
 
 }  // namespace longtail::telemetry

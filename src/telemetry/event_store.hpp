@@ -24,6 +24,9 @@
 #include <iterator>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -316,6 +319,22 @@ inline EventStore::const_iterator EventStore::begin() const noexcept {
 }
 inline EventStore::const_iterator EventStore::end() const noexcept {
   return const_iterator(this, size());
+}
+
+// Throws std::out_of_range, naming `who`, the id `kind` and the largest
+// id, when an id of `column` is not below `table` — the size of the
+// corpus table the ids index. One read of the column checks a whole
+// window, so a caller can reject the window before it folds any event.
+template <typename Id>
+void require_ids_below(std::span<const Id> column, std::size_t table,
+                       std::string_view who, std::string_view kind) {
+  std::uint32_t largest = 0;
+  for (const Id id : column) largest = std::max(largest, id.raw());
+  if (column.empty() || largest < table) return;
+  const std::string k(kind);
+  throw std::out_of_range(std::string(who) + ": event " + k + " id " +
+                          std::to_string(largest) + " is outside the corpus " +
+                          k + " table");
 }
 
 }  // namespace longtail::telemetry

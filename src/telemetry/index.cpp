@@ -7,16 +7,16 @@
 namespace longtail::telemetry {
 
 FileReach::FileReach(const Corpus& corpus)
-    : corpus_(&corpus), files_(corpus.files.size()) {}
+    : corpus_(&corpus),
+      machines_(corpus.files.size()),
+      via_browser_(corpus.files.size(), false) {}
 
 void FileReach::add(EventStore::EventRef e) {
-  File& f = files_[e.file().raw()];
-  const model::MachineId m = e.machine();
-  const auto it = std::lower_bound(f.machines.begin(), f.machines.end(), m);
-  if (it == f.machines.end() || *it != m) f.machines.insert(it, m);
+  const model::FileId f = e.file();
+  machines_.insert(f, e.machine(), std::numeric_limits<std::uint32_t>::max());
   if (corpus_->processes[e.process().raw()].category ==
       model::ProcessCategory::kBrowser)
-    f.via_browser = true;
+    via_browser_[f.raw()] = true;
 }
 
 CorpusIndex::CorpusIndex(const Corpus& corpus)

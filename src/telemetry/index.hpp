@@ -1,5 +1,5 @@
 // Derived indexes over a Corpus. Built once, queried by every analysis
-// module: per-file reach (distinct machines, prevalence) and
+// module: per-file reach (distinct machines, prevalence, via-browser) and
 // first/last-seen, per-machine event timelines, and per-month slices.
 #pragma once
 
@@ -10,6 +10,7 @@
 #include "model/event.hpp"
 #include "model/time.hpp"
 #include "telemetry/corpus.hpp"
+#include "telemetry/file_machines.hpp"
 
 namespace longtail::telemetry {
 
@@ -19,38 +20,43 @@ namespace longtail::telemetry {
 // via-browser column of Table VI and §IV-A machine coverage. CorpusIndex
 // builds one over the whole corpus; the streaming analytics grow one
 // window by window. The state depends only on the set of events added,
-// never on their order. On collected corpora a machine list holds at most
-// sigma entries (the collection cap).
+// never on their order. The machine sets are a `FileMachines` table
+// (file_machines.hpp), so a file seen on one machine allocates nothing.
 class FileReach {
  public:
   // Sized for `corpus`'s file table; add() reads its process categories,
   // so `corpus` must outlive the reach.
   explicit FileReach(const Corpus& corpus);
 
+  // `e`'s file and process ids must be inside the corpus tables.
   void add(EventStore::EventRef e);
+  // Starts loading what add() reads for an event of file `f` and process
+  // `p`, both inside the corpus tables.
+  void prefetch(model::FileId f, model::ProcessId p) const {
+    machines_.prefetch(f);
+    __builtin_prefetch(&corpus_->processes[p.raw()]);
+  }
 
   [[nodiscard]] std::size_t num_files() const noexcept {
-    return files_.size();
+    return machines_.size();
   }
+  // Ascending; the next add() may invalidate the span.
   [[nodiscard]] std::span<const model::MachineId> machines(
       model::FileId f) const {
-    return files_[f.raw()].machines;
+    return machines_.machines(f);
   }
   // Number of distinct machines; 0 for a file with no events.
   [[nodiscard]] std::uint32_t prevalence(model::FileId f) const {
-    return static_cast<std::uint32_t>(files_[f.raw()].machines.size());
+    return machines_.count(f);
   }
   [[nodiscard]] bool via_browser(model::FileId f) const {
-    return files_[f.raw()].via_browser;
+    return via_browser_[f.raw()];
   }
 
  private:
-  struct File {
-    std::vector<model::MachineId> machines;  // sorted, distinct
-    bool via_browser = false;
-  };
   const Corpus* corpus_;
-  std::vector<File> files_;
+  FileMachines machines_;
+  std::vector<bool> via_browser_;
 };
 
 class CorpusIndex {

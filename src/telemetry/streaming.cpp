@@ -106,7 +106,7 @@ StreamingCollectionServer::StreamingCollectionServer(
     StreamingConfig cfg, std::span<const model::UrlMeta> url_meta)
     : cfg_(std::move(cfg)),
       url_meta_(url_meta),
-      prevalence_(cfg_.policy.sigma) {}
+      prevalence_(cfg_.policy.sigma, cfg_.num_files) {}
 
 model::Timestamp StreamingCollectionServer::window_end(
     std::size_t index) const noexcept {

@@ -1,7 +1,7 @@
 // Partitioned open-addressing hash table with software-prefetch batched
 // probes (DRAMHiT / CASHT++-style), tuned for the pipeline's hot point
-// lookups: prevalence-cap counting, retransmit dedup, whitelist and
-// reputation probes, interner indexing, and the chain-matching fixup.
+// lookups: retransmit dedup, whitelist and reputation probes, interner
+// indexing, and the chain-matching fixup.
 //
 // Design:
 //   * `FlatMap<K, V>` / `FlatSet<K>` keep entries in one dense vector in

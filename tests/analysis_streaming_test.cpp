@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/coverage.hpp"
@@ -215,6 +218,61 @@ TEST(StreamingAnalytics, EventsPastAugustCountInBothOverallRows) {
   for (std::size_t m = 0; m < model::kNumCollectionMonths; ++m) {
     EXPECT_EQ(batch.months[m].events, 1u);
     EXPECT_EQ(batch.months[m].machines, 1u);
+  }
+}
+
+TEST(StreamingAnalytics, RejectsAWindowWithAnIdPastItsTable) {
+  // A window whose last event carries one id one past its corpus table is
+  // refused whole: nothing of it is folded, so the counts and every
+  // snapshot stay as they were.
+  const auto& p = pipeline();
+  const auto& a = p.annotated();
+  const auto& corpus = p.dataset().corpus;
+  const auto windows = windowize(corpus, 14 * 86'400);
+  ASSERT_GT(windows.size(), 2u);
+  StreamingAnalytics analytics(corpus);
+  analytics.absorb(windows[0]);
+  const auto events = analytics.events_absorbed();
+  const auto monthly = analytics.monthly(a);
+  const auto prevalence = analytics.prevalence(a);
+  const auto signing = analytics.signing(a);
+  const auto coverage = analytics.coverage(a);
+
+  const auto past = [](std::size_t table) {
+    return static_cast<std::uint32_t>(table);
+  };
+  const std::vector<std::pair<const char*, model::DownloadEvent>> cases = [&] {
+    const model::DownloadEvent e = windows[1].events.back();
+    std::vector<std::pair<const char*, model::DownloadEvent>> out(4, {"", e});
+    out[0].first = "machine";
+    out[0].second.machine = model::MachineId{corpus.machine_count};
+    out[1].first = "process";
+    out[1].second.process = model::ProcessId{past(corpus.processes.size())};
+    out[2].first = "file";
+    out[2].second.file = model::FileId{past(corpus.files.size())};
+    out[3].first = "url";
+    out[3].second.url = model::UrlId{past(corpus.urls.size())};
+    return out;
+  }();
+  for (const auto& [kind, bad] : cases) {
+    SCOPED_TRACE(kind);
+    telemetry::EventWindow w{1, windows[1].begin, windows[1].end, {}};
+    w.events.assign(windows[1].events);
+    w.events.push_back(bad);
+    try {
+      analytics.absorb(w);
+      ADD_FAILURE() << "absorb accepted the window";
+    } catch (const std::out_of_range& err) {
+      EXPECT_NE(std::string(err.what()).find(std::string(kind) + " id"),
+                std::string::npos)
+          << err.what();
+    }
+    EXPECT_EQ(analytics.events_absorbed(), events);
+    EXPECT_EQ(analytics.windows_absorbed(), 1u);
+    expect_same_summary(analytics.monthly(a), monthly);
+    expect_same_prevalence(analytics.prevalence(a), prevalence);
+    expect_same_signing(analytics.signing(a), signing);
+    expect_same_coverage(analytics.coverage(a), coverage);
   }
 }
 

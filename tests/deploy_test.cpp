@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -203,6 +205,37 @@ TEST(OnlineLabeler, RejectsAFileIdOutsideTheCorpus) {
   w.events.push_back(event_at(files, 10));
   OnlineLabeler serving(pipeline().dataset(), pipeline().annotated(), {});
   EXPECT_THROW(serving.serve(w), std::out_of_range);
+}
+
+TEST(OnlineLabeler, RejectsAWindowWithAnIdPastItsTable) {
+  // The bad event follows a valid one: the window is refused whole.
+  const auto& corpus = pipeline().dataset().corpus;
+  const auto past = [](std::size_t table) {
+    return static_cast<std::uint32_t>(table);
+  };
+  for (const char* kind : {"file", "process", "url"}) {
+    SCOPED_TRACE(kind);
+    model::DownloadEvent bad = event_at(0, 20);
+    if (kind == std::string_view("file"))
+      bad.file = model::FileId{past(corpus.files.size())};
+    if (kind == std::string_view("process"))
+      bad.process = model::ProcessId{past(corpus.processes.size())};
+    if (kind == std::string_view("url"))
+      bad.url = model::UrlId{past(corpus.urls.size())};
+    telemetry::EventWindow w{0, 0, 100, {}};
+    w.events.push_back(event_at(0, 10));
+    w.events.push_back(bad);
+    OnlineLabeler serving(pipeline().dataset(), pipeline().annotated(), {});
+    try {
+      serving.serve(w);
+      ADD_FAILURE() << "serve accepted the window";
+    } catch (const std::out_of_range& err) {
+      EXPECT_NE(std::string(err.what()).find(std::string(kind) + " id"),
+                std::string::npos)
+          << err.what();
+    }
+    EXPECT_EQ(serving.events_served(), 0u);
+  }
 }
 
 TEST(OnlineLabeler, ServesAFileWithARepeatedTrustedEngine) {
