@@ -6,9 +6,11 @@
 // be overridden with the LONGTAIL_SCALE environment variable (e.g.
 // LONGTAIL_SCALE=0.25 ./table16_rules).
 // Thread count comes from LONGTAIL_THREADS (see util/thread_pool.hpp);
-// the perf_* binaries additionally emit machine-readable timing JSON
-// (BENCH_pipeline.json / BENCH_rules.json) so the performance trajectory
-// is tracked across commits.
+// LONGTAIL_CORPUS_CACHE=<dir> reloads the generated dataset from an LTDS
+// file instead of regenerating it (make_dataset). The perf_* binaries
+// additionally emit machine-readable timing JSON (BENCH_pipeline.json /
+// BENCH_rules.json) so the performance trajectory is tracked across
+// commits.
 #pragma once
 
 #include <chrono>
@@ -57,25 +59,9 @@ inline double bench_scale(double fallback = 0.10) {
   return fallback;
 }
 
-// Zero-copy (mmap) loads are the default for cache hits; LONGTAIL_MMAP=0
-// falls back to the fully-owned loader (e.g. to compare the two paths, or
-// on filesystems where mapping misbehaves).
-inline bool mmap_enabled() {
-  const char* env = std::getenv("LONGTAIL_MMAP");
-  return env == nullptr || std::string_view(env) != "0";
-}
-
-// How the last make_dataset() call obtained its dataset: "generate",
-// "cache_mapped", or "cache_owned". The perf trajectory records it per
-// run so a bench JSON says which load path it measured.
-inline std::string& last_load_path() {
-  static std::string path = "generate";
-  return path;
-}
-
 // Peak resident set of this process so far, in MiB. The one shared
-// definition lives in util/profile (the sampler and the fullscale
-// children use the same one); this alias keeps bench call sites short.
+// definition lives in util/profile (the sampler uses the same one); this
+// alias keeps bench call sites short.
 inline double max_rss_mb() { return util::profile::peak_rss_mb(); }
 
 // Cache file name for the binary dataset at this scale, fault profile,
@@ -103,7 +89,6 @@ inline std::string corpus_cache_path(
 // profile from the cache (or generates it once and saves it). Cache status
 // goes to stderr so table stdout stays byte-identical either way.
 inline synth::Dataset make_dataset(const synth::CalibrationProfile& profile) {
-  last_load_path() = "generate";
   const char* dir = std::getenv("LONGTAIL_CORPUS_CACHE");
   if (dir == nullptr || *dir == '\0') return synth::generate_dataset(profile);
 
@@ -111,14 +96,8 @@ inline synth::Dataset make_dataset(const synth::CalibrationProfile& profile) {
       corpus_cache_path(dir, profile.scale, profile.faults, profile.scenario);
   if (std::filesystem::exists(path)) {
     try {
-      // A hit maps the file zero-copy by default (the event columns stay
-      // views into the mapping); LONGTAIL_MMAP=0 selects the owned loader.
-      const bool mapped = mmap_enabled();
-      auto ds = mapped ? synth::load_dataset_mapped(path)
-                       : synth::load_dataset_binary(path);
-      std::fprintf(stderr, "[longtail] corpus cache hit (%s): %s\n",
-                   mapped ? "mapped" : "owned", path.c_str());
-      last_load_path() = mapped ? "cache_mapped" : "cache_owned";
+      auto ds = synth::load_dataset_binary(path);
+      std::fprintf(stderr, "[longtail] corpus cache hit: %s\n", path.c_str());
       return ds;
     } catch (const std::exception& ex) {
       std::fprintf(stderr,

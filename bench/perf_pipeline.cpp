@@ -9,18 +9,9 @@
 // determinism fingerprint — is tracked from commit to commit.
 // LONGTAIL_BENCH_MICRO=0 skips the micro suite (CI uses this to get the
 // trajectory quickly); LONGTAIL_BENCH_JSON overrides the output path.
-//
-// LONGTAIL_BENCH_FULLSCALE=<scale> additionally runs the scale-1.0-class
-// memory benchmark: the corpus is saved as a sectioned LTCP file once,
-// then re-executed in two child processes (owned loader vs mmap zero-copy
-// loader) that each stream the event columns through the scan layer and
-// report their own peak RSS — ru_maxrss is monotone per process, so the
-// two load paths can only be compared across processes. Results land in
-// the "fullscale" object of BENCH_pipeline.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -32,9 +23,6 @@
 #include "bench_common.hpp"
 #include "core/longtail.hpp"
 #include "deploy/online.hpp"
-#include "telemetry/binary.hpp"
-#include "telemetry/mapped.hpp"
-#include "telemetry/scan.hpp"
 #include "telemetry/streaming.hpp"
 
 namespace {
@@ -227,215 +215,6 @@ TrajectoryRun run_trajectory_pass(double scale, unsigned threads) {
   return run;
 }
 
-// ---- fullscale memory benchmark ---------------------------------------
-
-// Events per streaming chunk in the fullscale scan. Large enough that
-// shard dispatch is noise, small enough that the mapped path's
-// release-behind keeps only a sliver of the columns resident.
-constexpr std::size_t kFullscaleChunk = 256 * 1024;
-
-struct FullscaleScanAcc {
-  std::uint64_t h = 0;
-  std::uint64_t executed = 0;
-};
-
-// One deterministic streaming pass over the event columns through the
-// shared scan layer, chunked so the mapped path can release consumed
-// pages behind itself. Returns a checksum that must agree between the
-// owned and mapped children.
-FullscaleScanAcc fullscale_scan(const telemetry::Corpus& corpus,
-                                const telemetry::MappedCorpus* mapped) {
-  FullscaleScanAcc total;
-  const std::size_t n = corpus.events.size();
-  for (std::size_t begin = 0; begin < n; begin += kFullscaleChunk) {
-    const std::size_t end = std::min(n, begin + kFullscaleChunk);
-    const auto chunk = telemetry::scan_reduce(
-        corpus, begin, end, [] { return FullscaleScanAcc{}; },
-        [](FullscaleScanAcc& acc, const telemetry::EventStore::EventRef& ev) {
-          acc.h = acc.h * 1'000'003 +
-                  static_cast<std::uint64_t>(ev.time()) + ev.url().raw() +
-                  ev.file().raw() * 31 + ev.machine().raw() * 7 +
-                  ev.process().raw() * 3;
-          acc.executed += ev.executed() ? 1 : 0;
-        },
-        [](FullscaleScanAcc& t, FullscaleScanAcc&& s) {
-          t.h = t.h * 16'777'619 + s.h;
-          t.executed += s.executed;
-        },
-        "fullscale");
-    total.h = total.h * 16'777'619 + chunk.h;
-    total.executed += chunk.executed;
-    if (mapped != nullptr) mapped->release_events_before(end);
-  }
-  return total;
-}
-
-// Child process body: load the LTCP corpus via one of the two paths, run
-// the streaming scan, and report {load_ms, scan_ms, events_per_sec,
-// checksum, max_rss_mb} as JSON to LONGTAIL_FULLSCALE_OUT.
-int run_fullscale_child() {
-  const char* mode_env = std::getenv("LONGTAIL_FULLSCALE_CHILD");
-  const char* corpus_env = std::getenv("LONGTAIL_FULLSCALE_CORPUS");
-  const char* out_env = std::getenv("LONGTAIL_FULLSCALE_OUT");
-  if (mode_env == nullptr || corpus_env == nullptr || out_env == nullptr) {
-    std::fprintf(stderr, "fullscale child: missing environment\n");
-    return 1;
-  }
-  const std::string mode = mode_env;
-  const bool use_mmap = mode == "mapped";
-
-  telemetry::Corpus corpus;
-  std::unique_ptr<telemetry::MappedCorpus> mapped;
-  const double load_ms = bench::time_ms([&] {
-    if (use_mmap) {
-      // Zero-copy: only the event columns are needed for the scan, so the
-      // metadata sections are never materialized.
-      mapped = std::make_unique<telemetry::MappedCorpus>(
-          telemetry::MappedCorpus::open(corpus_env));
-      corpus.events = mapped->events();
-      corpus.machine_count = mapped->machine_count();
-    } else {
-      corpus = telemetry::load_binary(corpus_env);
-    }
-  });
-
-  FullscaleScanAcc acc;
-  const double scan_ms =
-      bench::time_ms([&] { acc = fullscale_scan(corpus, mapped.get()); });
-  const std::uint64_t events = corpus.events.size();
-
-  char checksum[32];
-  std::snprintf(checksum, sizeof(checksum), "0x%016llx",
-                static_cast<unsigned long long>(acc.h));
-  const auto json =
-      util::json::Object()
-          .field("load_path", std::string_view(use_mmap ? "mapped" : "owned"))
-          .field("load_ms", load_ms)
-          .field("scan_ms", scan_ms)
-          .field("events", events)
-          .field("events_per_sec",
-                 scan_ms > 0 ? 1000.0 * static_cast<double>(events) / scan_ms
-                             : 0.0)
-          .field("executed", acc.executed)
-          .field("checksum", std::string_view(checksum))
-          .field("max_rss_mb", bench::max_rss_mb())
-          .str();
-  if (std::FILE* f = std::fopen(out_env, "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    return 0;
-  }
-  std::fprintf(stderr, "fullscale child: cannot write %s\n", out_env);
-  return 1;
-}
-
-// Parent side: ensure the LTCP corpus file exists at the requested scale,
-// run one child per load path, and assemble the comparison. Returns the
-// rendered "fullscale" JSON object, or "" when the bench is disabled.
-std::string run_fullscale_section(const char* argv0) {
-  const char* env = std::getenv("LONGTAIL_BENCH_FULLSCALE");
-  if (env == nullptr || *env == '\0' || std::string_view(env) == "0")
-    return {};
-  char* end = nullptr;
-  double fscale = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !(fscale > 0.0)) fscale = 1.0;
-
-  // The corpus file is keyed by format version and scale; when a corpus
-  // cache directory is configured the file persists there (and rides the
-  // CI cache), otherwise it lands in the temp directory.
-  const char* cache_dir = std::getenv("LONGTAIL_CORPUS_CACHE");
-  const std::filesystem::path dir =
-      (cache_dir != nullptr && *cache_dir != '\0')
-          ? std::filesystem::path(cache_dir)
-          : std::filesystem::temp_directory_path();
-  char name[96];
-  std::snprintf(name, sizeof(name), "longtail_corpus_v%u_s%g.ltcp",
-                telemetry::kCorpusBinaryVersion, fscale);
-  const std::string corpus_path = (dir / name).string();
-
-  std::printf("\n[longtail] fullscale memory bench at scale %g\n", fscale);
-  if (!std::filesystem::exists(corpus_path)) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const double gen_ms = bench::time_ms([&] {
-      const auto ds = synth::generate_dataset(synth::paper_calibration(fscale));
-      telemetry::save_binary(ds.corpus, corpus_path);
-    });
-    std::printf("  corpus generated and saved in %.0f ms: %s\n", gen_ms,
-                corpus_path.c_str());
-  } else {
-    std::printf("  corpus reused: %s\n", corpus_path.c_str());
-  }
-
-  // One child per load path: ru_maxrss is a per-process high-water mark,
-  // so owned and mapped must be measured in separate processes.
-  std::string child_json[2];
-  util::json::Value child[2];
-  // A member of child `i`'s document; a missing one reads as null.
-  const auto member = [&](int i, const char* key) -> const util::json::Value& {
-    static const util::json::Value kNull;
-    const util::json::Value* v = child[i].find(key);
-    return v != nullptr ? *v : kNull;
-  };
-  const char* modes[2] = {"owned", "mapped"};
-  for (int i = 0; i < 2; ++i) {
-    const std::string out_path =
-        (std::filesystem::temp_directory_path() /
-         (std::string("longtail_fullscale_") + modes[i] + ".json"))
-            .string();
-    ::setenv("LONGTAIL_FULLSCALE_CHILD", modes[i], 1);
-    ::setenv("LONGTAIL_FULLSCALE_CORPUS", corpus_path.c_str(), 1);
-    ::setenv("LONGTAIL_FULLSCALE_OUT", out_path.c_str(), 1);
-    const std::string cmd = "'" + std::string(argv0) + "'";
-    const int rc = std::system(cmd.c_str());
-    ::unsetenv("LONGTAIL_FULLSCALE_CHILD");
-    ::unsetenv("LONGTAIL_FULLSCALE_CORPUS");
-    ::unsetenv("LONGTAIL_FULLSCALE_OUT");
-    if (rc != 0) {
-      std::fprintf(stderr, "[longtail] fullscale %s child failed (rc=%d)\n",
-                   modes[i], rc);
-      return {};
-    }
-    if (std::FILE* f = std::fopen(out_path.c_str(), "r")) {
-      char buf[4096];
-      const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-      std::fclose(f);
-      child_json[i].assign(buf, n);
-      std::filesystem::remove(out_path);
-    }
-    try {
-      child[i] = util::json::parse(child_json[i]);
-    } catch (const std::runtime_error& e) {
-      std::fprintf(stderr, "[longtail] fullscale %s child JSON: %s\n",
-                   modes[i], e.what());
-      return {};
-    }
-    std::printf("  %-6s load %7.0f ms, scan %7.0f ms, %9.0f events/s, "
-                "max_rss %7.1f MB\n",
-                modes[i], member(i, "load_ms").num_or(0.0),
-                member(i, "scan_ms").num_or(0.0),
-                member(i, "events_per_sec").num_or(0.0),
-                member(i, "max_rss_mb").num_or(0.0));
-  }
-
-  const double owned_rss = member(0, "max_rss_mb").num_or(0.0);
-  const double mapped_rss = member(1, "max_rss_mb").num_or(0.0);
-  const double rss_ratio = owned_rss > 0 ? mapped_rss / owned_rss : 0.0;
-  const std::string_view checksum = member(0, "checksum").str_or("");
-  const bool equivalent =
-      !checksum.empty() && checksum == member(1, "checksum").str_or("");
-  std::printf("  mapped/owned rss ratio %.2f, scan checksums %s\n", rss_ratio,
-              equivalent ? "equal" : "MISMATCH");
-
-  return util::json::Object()
-      .field("scale", fscale)
-      .raw("owned", child_json[0])
-      .raw("mapped", child_json[1])
-      .field("rss_ratio", rss_ratio)
-      .field("equivalent", equivalent)
-      .str();
-}
-
 // ---- streaming section -------------------------------------------------
 //
 // Sustained streaming throughput: the collected corpus is re-ingested
@@ -535,7 +314,7 @@ std::string run_streaming_section(const synth::Dataset& dataset) {
       .str();
 }
 
-void emit_trajectory(const std::string& fullscale_json) {
+void emit_trajectory() {
   const double scale = bench::bench_scale(0.05);
   // The canonical thread fan-out. The metrics snapshot is captured after
   // these passes (plus a fixed-thread cache roundtrip) and BEFORE the
@@ -579,28 +358,13 @@ void emit_trajectory(const std::string& fullscale_json) {
       [&] { reloaded = synth::load_dataset_binary(cache_file); });
   const bool cache_roundtrip =
       core::dataset_fingerprint(reloaded) == serial.fingerprint;
-  // The zero-copy load of the same file: event columns stay mapped views,
-  // so the fingerprint check doubles as a mapped-vs-owned equivalence
-  // check at the trajectory scale.
-  synth::Dataset remapped;
-  const double load_mapped_ms = bench::time_ms(
-      [&] { remapped = synth::load_dataset_mapped(cache_file); });
-  // Drive one pass through the scan layer on the mapped columns so the
-  // metrics snapshot records the zero-copy path
-  // (corpus.scan.mapped_invocations — pinned by the CI schema check).
-  const auto mapped_scan = fullscale_scan(remapped.corpus, nullptr);
-  const bool mapped_roundtrip =
-      core::dataset_fingerprint(remapped) == serial.fingerprint &&
-      mapped_scan.executed == remapped.corpus.events.size();
-  remapped = synth::Dataset{};  // release the mapping before unlink
   std::filesystem::remove(cache_file);
   std::printf(
       "[longtail] dataset cache: save %.1f ms, load %.1f ms "
-      "(generate %.1f ms, %.1fx), mapped load %.1f ms, fingerprint %s/%s\n",
+      "(generate %.1f ms, %.1fx), fingerprint %s\n",
       save_ms, load_ms, serial.generate_ms,
-      load_ms > 0 ? serial.generate_ms / load_ms : 0.0, load_mapped_ms,
-      cache_roundtrip ? "preserved" : "MISMATCH",
-      mapped_roundtrip ? "preserved" : "MISMATCH");
+      load_ms > 0 ? serial.generate_ms / load_ms : 0.0,
+      cache_roundtrip ? "preserved" : "MISMATCH");
 
   // Streaming ingest -> incremental analytics -> serving loop, still at
   // the pinned thread count: the last leg of the fixed workload.
@@ -667,11 +431,10 @@ void emit_trajectory(const std::string& fullscale_json) {
   // Per-stage attribution: the metrics snapshot carries stage timing
   // histograms and event counters accumulated across all trajectory
   // passes (see docs/observability.md for the name scheme).
-  auto json_builder =
+  const auto json =
       util::json::Object()
           .field("bench", std::string_view("pipeline"))
           .field("scale", scale)
-          .field("mapped", bench::mmap_enabled())
           .field("hardware_concurrency",
                  static_cast<unsigned>(std::thread::hardware_concurrency()))
           .raw("run", bench::run_manifest_json(scale, serial.fingerprint))
@@ -686,16 +449,10 @@ void emit_trajectory(const std::string& fullscale_json) {
           .field("dataset_load_speedup",
                  load_ms > 0 ? serial.generate_ms / load_ms : 0.0)
           .field("dataset_cache_roundtrip", cache_roundtrip)
-          .field("dataset_load_mapped_ms", load_mapped_ms)
-          .field("dataset_load_mapped_speedup",
-                 load_mapped_ms > 0 ? serial.generate_ms / load_mapped_ms
-                                    : 0.0)
-          .field("dataset_mapped_roundtrip", mapped_roundtrip);
-  json_builder.raw("streaming", streaming_json);
-  if (!fullscale_json.empty()) json_builder.raw("fullscale", fullscale_json);
-  const auto json = json_builder.field("max_rss_mb", bench::max_rss_mb())
-                        .raw("metrics", metrics_snapshot)
-                        .str();
+          .raw("streaming", streaming_json)
+          .field("max_rss_mb", bench::max_rss_mb())
+          .raw("metrics", metrics_snapshot)
+          .str();
   bench::write_bench_json("BENCH_pipeline.json", json);
   std::printf("[longtail] speedup %.2fx (resolve_events %.2fx), "
               "deterministic across thread counts: %s\n",
@@ -706,11 +463,6 @@ void emit_trajectory(const std::string& fullscale_json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Re-executed as a fullscale measurement child: do only the child's
-  // load+scan+report, never the micro suite or the trajectory.
-  if (std::getenv("LONGTAIL_FULLSCALE_CHILD") != nullptr)
-    return run_fullscale_child();
-
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const char* micro = std::getenv("LONGTAIL_BENCH_MICRO");
@@ -724,8 +476,7 @@ int main(int argc, char** argv) {
   util::metrics::set_enabled(true);
   util::profile::set_enabled(true);
   util::profile::Sampler sampler;  // stops (and emits) before trace flush
-  const std::string fullscale_json = run_fullscale_section(argv[0]);
-  emit_trajectory(fullscale_json);
+  emit_trajectory();
   sampler.stop();
   return 0;
 }

@@ -1,10 +1,7 @@
 #include "synth/dataset_io.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <memory>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "telemetry/binary.hpp"
@@ -194,9 +191,8 @@ void parse_dataset_sections(std::span<const std::uint8_t> image,
     return e;
   };
   const auto done = [&](const telemetry::SectionEntry& e) {
-    if (release)
-      release(static_cast<std::size_t>(e.offset),
-              static_cast<std::size_t>(util::align8(e.length)));
+    release(static_cast<std::size_t>(e.offset),
+            static_cast<std::size_t>(util::align8(e.length)));
   };
 
   {
@@ -257,48 +253,6 @@ void parse_dataset_sections(std::span<const std::uint8_t> image,
   }
 }
 
-// Shared load: `zero_copy_events` selects the mapped event-column path
-// (keepalive = the shared image) versus the fully-owned copy.
-Dataset load_dataset(const std::string& path, bool zero_copy_events) {
-  auto image = std::make_shared<util::FileImage>(path);
-  const auto bytes = image->bytes();
-  const SectionTable table(bytes, kDatasetBinaryMagic, kDatasetBinaryVersion,
-                           path);
-  image->advise_sequential();
-  // Release consumed extents only when the events are owned copies; a
-  // zero-copy dataset keeps the mapping live for its whole lifetime, and
-  // event pages fault in (and can be released) as they are scanned.
-  telemetry::ReleaseFn release;
-  if (!zero_copy_events)
-    release = [&image](std::size_t off, std::size_t len) {
-      image->release_range(off, len);
-    };
-
-  const std::uint64_t expected =
-      telemetry::parse_meta(
-          table.payload(bytes, table.require(SectionKind::kMeta)))
-          .fingerprint;
-  Dataset ds;
-  ds.corpus = telemetry::parse_corpus_sections(bytes, table, zero_copy_events,
-                                               image, release);
-  if (!zero_copy_events &&
-      telemetry::corpus_fingerprint(ds.corpus) != expected)
-    throw std::runtime_error("dataset binary fingerprint mismatch: " + path);
-  parse_dataset_sections(bytes, table, ds, release);
-
-  if (zero_copy_events) {
-    if (const char* v = std::getenv("LONGTAIL_MMAP_VERIFY");
-        v != nullptr && std::string_view(v) == "full") {
-      table.verify_all_sections(bytes);
-      if (telemetry::corpus_fingerprint(ds.corpus) != expected)
-        throw std::runtime_error("dataset binary fingerprint mismatch: " +
-                                 path);
-    }
-    LONGTAIL_METRIC_COUNT("synth.io.events_mapped", ds.corpus.events.size());
-  }
-  return ds;
-}
-
 }  // namespace
 
 void save_dataset_binary(const Dataset& dataset, const std::string& path) {
@@ -320,13 +274,30 @@ void save_dataset_binary(const Dataset& dataset, const std::string& path) {
 Dataset load_dataset_binary(const std::string& path) {
   LONGTAIL_TRACE_SPAN("synth.load_dataset");
   LONGTAIL_METRIC_TIMER("synth.load_dataset_ms");
-  return load_dataset(path, /*zero_copy_events=*/false);
-}
+  util::FileImage image(path);
+  const auto bytes = image.bytes();
+  const SectionTable table(bytes, kDatasetBinaryMagic, kDatasetBinaryVersion,
+                           path);
+  image.advise_sequential();
+  // Each section's pages are released once it is parsed into owned
+  // storage, so the transient high-water of a load is bounded by the
+  // largest section, not the file size.
+  const telemetry::ReleaseFn release = [&image](std::size_t off,
+                                                std::size_t len) {
+    image.release_range(off, len);
+  };
 
-Dataset load_dataset_mapped(const std::string& path) {
-  LONGTAIL_TRACE_SPAN("synth.load_dataset_mapped");
-  LONGTAIL_METRIC_TIMER("synth.load_dataset_mapped_ms");
-  return load_dataset(path, /*zero_copy_events=*/true);
+  const std::uint64_t expected =
+      telemetry::parse_meta(
+          table.payload(bytes, table.require(SectionKind::kMeta)))
+          .fingerprint;
+  Dataset ds;
+  ds.corpus = telemetry::parse_corpus_sections(bytes, table, release);
+  if (telemetry::corpus_fingerprint(ds.corpus) != expected)
+    throw std::runtime_error("dataset binary fingerprint mismatch: " + path);
+  telemetry::require_ids_in_tables(ds.corpus);
+  parse_dataset_sections(bytes, table, ds, release);
+  return ds;
 }
 
 }  // namespace longtail::synth

@@ -1,13 +1,6 @@
 #include "telemetry/binary.hpp"
 
-#include <cassert>
-#include <stdexcept>
-
-#include "telemetry/mapped.hpp"
-#include "util/binary.hpp"
 #include "util/hash.hpp"
-#include "util/metrics.hpp"
-#include "util/trace.hpp"
 
 namespace longtail::telemetry {
 
@@ -72,48 +65,6 @@ std::uint64_t corpus_fingerprint(const Corpus& corpus) {
   mix_interner(mix, corpus.process_names);
   mix(corpus.machine_count);
   return mix.value();
-}
-
-void save_binary(const Corpus& corpus, const std::string& path) {
-  LONGTAIL_TRACE_SPAN("telemetry.save_binary");
-  LONGTAIL_METRIC_TIMER("telemetry.save_binary_ms");
-  util::BinaryWriter out(path);
-  out.reset_region_hash();
-  out.u32(kCorpusBinaryMagic);
-  out.u32(kCorpusBinaryVersion);
-  out.u32(kCorpusSectionCount);
-  out.u32(0);
-  util::SectionWriter sections(out);
-  write_corpus_sections(sections, out, corpus);
-  assert(sections.section_count() == kCorpusSectionCount);
-  sections.finish();
-  out.finish();
-  LONGTAIL_METRIC_COUNT("telemetry.io.events_written", corpus.events.size());
-}
-
-Corpus load_binary(const std::string& path) {
-  LONGTAIL_TRACE_SPAN("telemetry.load_binary");
-  LONGTAIL_METRIC_TIMER("telemetry.load_binary_ms");
-  util::FileImage image(path);
-  const auto bytes = image.bytes();
-  const SectionTable table(bytes, kCorpusBinaryMagic, kCorpusBinaryVersion,
-                           path);
-  image.advise_sequential();
-  const std::uint64_t expected =
-      parse_meta(table.payload(bytes, table.require(SectionKind::kMeta)))
-          .fingerprint;
-  // Release each image extent as soon as it is parsed into owned storage,
-  // so the transient high-water of a load is bounded by the largest
-  // section, not the file size.
-  Corpus corpus = parse_corpus_sections(
-      bytes, table, /*zero_copy_events=*/false, nullptr,
-      [&image](std::size_t off, std::size_t len) {
-        image.release_range(off, len);
-      });
-  if (corpus_fingerprint(corpus) != expected)
-    throw std::runtime_error("corpus binary fingerprint mismatch: " + path);
-  LONGTAIL_METRIC_COUNT("telemetry.io.events_read", corpus.events.size());
-  return corpus;
 }
 
 }  // namespace longtail::telemetry

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <ranges>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,5 +63,27 @@ struct Corpus {
     return process_names.at(processes[p.raw()].name);
   }
 };
+
+// Throws std::runtime_error, naming the column and the id, unless every
+// event's file, machine, process and url id and every url's domain id is
+// below the size of the table it indexes (machines: `machine_count`). The
+// loaders run it after parsing: checksums prove a file is the one that
+// was written, not that its ids index its own tables, and the index and
+// annotation layers write through these ids unchecked.
+inline void require_ids_in_tables(const Corpus& corpus) {
+  const auto check = [](auto&& ids, std::size_t table, const char* column) {
+    if (const auto id = largest_id_outside(ids, table))
+      throw std::runtime_error(std::string("corpus ") + column + " id " +
+                               std::to_string(*id) + " is outside its table (" +
+                               std::to_string(table) + " entries)");
+  };
+  const EventStore& ev = corpus.events;
+  check(ev.file_column(), corpus.files.size(), "event file");
+  check(ev.machine_column(), corpus.machine_count, "event machine");
+  check(ev.process_column(), corpus.processes.size(), "event process");
+  check(ev.url_column(), corpus.urls.size(), "event url");
+  check(corpus.urls | std::views::transform(&model::UrlMeta::domain),
+        corpus.domains.size(), "url domain");
+}
 
 }  // namespace longtail::telemetry

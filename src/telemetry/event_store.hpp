@@ -3,17 +3,11 @@
 // The event table is the hot data of the whole reproduction: every
 // measurement module scans it front to back. Storing each field in its own
 // contiguous column keeps those scans cache- and SIMD-friendly and lets the
-// binary corpus format (telemetry/binary.hpp) write whole columns with one
+// binary dataset format (telemetry/mapped.hpp) write whole columns with one
 // bulk copy. `EventRef` is a zero-cost proxy that reads one row; it
 // converts implicitly to `model::DownloadEvent`, which stays the
-// interchange struct for code that wants a materialized event.
-//
-// A store is either *owning* (the default: columns live in vectors) or a
-// *view* (`from_spans`): columns alias external memory — in practice a
-// memory-mapped corpus file (telemetry/mapped.hpp) — and a keepalive
-// handle pins that memory for as long as any copy of the store exists.
-// Views are immutable; every reader (scan layer, analyses, indexes) works
-// identically on both because all access goes through the column spans.
+// interchange struct for code that wants a materialized event. The store
+// owns its columns; readers see them as spans.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +16,8 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
-#include <memory>
+#include <optional>
+#include <ranges>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -51,17 +46,10 @@ class EventStore {
     return *this;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return view_ ? time_view_.size() : time_.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return time_.size(); }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
-  // True when the columns alias external memory (a mapped corpus file)
-  // instead of owned vectors.
-  [[nodiscard]] bool mapped() const noexcept { return view_; }
-
   void reserve(std::size_t n) {
-    assert(!view_);
     file_.reserve(n);
     machine_.reserve(n);
     process_.reserve(n);
@@ -71,16 +59,6 @@ class EventStore {
   }
 
   void clear() noexcept {
-    // Clearing a view drops the aliasing and returns to an empty owning
-    // store (the keepalive is released).
-    view_ = false;
-    keepalive_.reset();
-    file_view_ = {};
-    machine_view_ = {};
-    process_view_ = {};
-    url_view_ = {};
-    time_view_ = {};
-    executed_view_ = {};
     file_.clear();
     machine_.clear();
     process_.clear();
@@ -90,7 +68,6 @@ class EventStore {
   }
 
   void push_back(const model::DownloadEvent& e) {
-    assert(!view_);
     file_.push_back(e.file);
     machine_.push_back(e.machine);
     process_.push_back(e.process);
@@ -115,37 +92,32 @@ class EventStore {
   [[nodiscard]] const_iterator end() const noexcept;
 
   // Raw columns — the binary format and the fingerprint read these, and
-  // index construction iterates them directly. For a view store these are
-  // the external (mapped) slices; for an owning store, the vectors.
+  // index construction iterates them directly.
   [[nodiscard]] std::span<const model::FileId> file_column() const noexcept {
-    return view_ ? file_view_ : std::span<const model::FileId>(file_);
+    return file_;
   }
   [[nodiscard]] std::span<const model::MachineId> machine_column()
       const noexcept {
-    return view_ ? machine_view_ : std::span<const model::MachineId>(machine_);
+    return machine_;
   }
   [[nodiscard]] std::span<const model::ProcessId> process_column()
       const noexcept {
-    return view_ ? process_view_ : std::span<const model::ProcessId>(process_);
+    return process_;
   }
   [[nodiscard]] std::span<const model::UrlId> url_column() const noexcept {
-    return view_ ? url_view_ : std::span<const model::UrlId>(url_);
+    return url_;
   }
   [[nodiscard]] std::span<const model::Timestamp> time_column()
       const noexcept {
-    return view_ ? time_view_ : std::span<const model::Timestamp>(time_);
+    return time_;
   }
   [[nodiscard]] std::span<const std::uint8_t> executed_column()
       const noexcept {
-    return view_ ? executed_view_ : std::span<const std::uint8_t>(executed_);
+    return executed_;
   }
 
   // Narrow mutator for tests that perturb a stored stream in place.
-  // Owning stores only — views alias read-only mapped memory.
-  void set_time(std::size_t i, model::Timestamp t) noexcept {
-    assert(!view_);
-    time_[i] = t;
-  }
+  void set_time(std::size_t i, model::Timestamp t) noexcept { time_[i] = t; }
 
   // Adopt pre-built columns (the binary loader reads columns wholesale).
   // All columns must have the same length; `executed` may be empty, which
@@ -170,42 +142,7 @@ class EventStore {
     return out;
   }
 
-  // Adopt external column slices without copying — the zero-copy load
-  // path (telemetry/mapped.hpp). `keepalive` pins the backing memory (the
-  // file mapping); copies of the store share it, so a view outliving its
-  // loader is safe. All columns must have the same length.
-  static EventStore from_spans(std::span<const model::FileId> file,
-                               std::span<const model::MachineId> machine,
-                               std::span<const model::ProcessId> process,
-                               std::span<const model::UrlId> url,
-                               std::span<const model::Timestamp> time,
-                               std::span<const std::uint8_t> executed,
-                               std::shared_ptr<const void> keepalive) {
-    assert(file.size() == time.size() && machine.size() == time.size() &&
-           process.size() == time.size() && url.size() == time.size() &&
-           executed.size() == time.size());
-    EventStore out;
-    out.view_ = true;
-    out.keepalive_ = std::move(keepalive);
-    out.file_view_ = file;
-    out.machine_view_ = machine;
-    out.process_view_ = process;
-    out.url_view_ = url;
-    out.time_view_ = time;
-    out.executed_view_ = executed;
-    return out;
-  }
-
-  // Element-wise column equality — a mapped view and an owning store with
-  // the same events compare equal.
-  friend bool operator==(const EventStore& a, const EventStore& b) {
-    return std::ranges::equal(a.file_column(), b.file_column()) &&
-           std::ranges::equal(a.machine_column(), b.machine_column()) &&
-           std::ranges::equal(a.process_column(), b.process_column()) &&
-           std::ranges::equal(a.url_column(), b.url_column()) &&
-           std::ranges::equal(a.time_column(), b.time_column()) &&
-           std::ranges::equal(a.executed_column(), b.executed_column());
-  }
+  friend bool operator==(const EventStore& a, const EventStore& b) = default;
 
   class EventRef {
    public:
@@ -294,24 +231,12 @@ class EventStore {
   };
 
  private:
-  // Owning storage (empty while view_ is set).
   std::vector<model::FileId> file_;
   std::vector<model::MachineId> machine_;
   std::vector<model::ProcessId> process_;
   std::vector<model::UrlId> url_;
   std::vector<model::Timestamp> time_;
   std::vector<std::uint8_t> executed_;  // 0/1; the TSV format omits it
-
-  // View storage (valid while view_ is set): external column slices plus
-  // the handle that keeps their backing memory alive.
-  bool view_ = false;
-  std::span<const model::FileId> file_view_;
-  std::span<const model::MachineId> machine_view_;
-  std::span<const model::ProcessId> process_view_;
-  std::span<const model::UrlId> url_view_;
-  std::span<const model::Timestamp> time_view_;
-  std::span<const std::uint8_t> executed_view_;
-  std::shared_ptr<const void> keepalive_;
 };
 
 inline EventStore::const_iterator EventStore::begin() const noexcept {
@@ -321,20 +246,30 @@ inline EventStore::const_iterator EventStore::end() const noexcept {
   return const_iterator(this, size());
 }
 
+// The largest raw id of `ids` when it is not below `table` — the size of
+// the table the ids index — and nothing when every id is below it.
+template <std::ranges::input_range Ids>
+[[nodiscard]] std::optional<std::uint32_t> largest_id_outside(
+    Ids&& ids, std::size_t table) {
+  std::uint32_t largest = 0;
+  for (const auto id : ids) largest = std::max(largest, id.raw());
+  if (std::ranges::empty(ids) || largest < table) return std::nullopt;
+  return largest;
+}
+
 // Throws std::out_of_range, naming `who`, the id `kind` and the largest
-// id, when an id of `column` is not below `table` — the size of the
-// corpus table the ids index. One read of the column checks a whole
-// window, so a caller can reject the window before it folds any event.
+// id, when an id of `column` is not below `table`. One read of the column
+// checks a whole window, so a caller can reject the window before it
+// folds any event.
 template <typename Id>
 void require_ids_below(std::span<const Id> column, std::size_t table,
                        std::string_view who, std::string_view kind) {
-  std::uint32_t largest = 0;
-  for (const Id id : column) largest = std::max(largest, id.raw());
-  if (column.empty() || largest < table) return;
+  const auto largest = largest_id_outside(column, table);
+  if (!largest) return;
   const std::string k(kind);
   throw std::out_of_range(std::string(who) + ": event " + k + " id " +
-                          std::to_string(largest) + " is outside the corpus " +
-                          k + " table");
+                          std::to_string(*largest) +
+                          " is outside the corpus " + k + " table");
 }
 
 }  // namespace longtail::telemetry

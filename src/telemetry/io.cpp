@@ -253,6 +253,7 @@ Corpus import_corpus(const std::string& dir) {
           parse_i64(cells[4]), true});
     }
   }
+  require_ids_in_tables(corpus);
   LONGTAIL_METRIC_COUNT("telemetry.io.events_read", corpus.events.size());
   return corpus;
 }

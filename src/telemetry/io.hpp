@@ -27,7 +27,8 @@ namespace longtail::telemetry {
 void export_corpus(const Corpus& corpus, const std::string& dir);
 
 // Reads a corpus previously written by export_corpus. Throws
-// std::runtime_error on missing/malformed files.
+// std::runtime_error on missing/malformed files and on an id outside its
+// table (require_ids_in_tables).
 Corpus import_corpus(const std::string& dir);
 
 }  // namespace longtail::telemetry

@@ -1,22 +1,17 @@
 #include "telemetry/mapped.hpp"
 
-#include <algorithm>
-#include <cstdlib>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "telemetry/binary.hpp"
 #include "util/binary.hpp"
-#include "util/metrics.hpp"
-#include "util/trace.hpp"
 
 namespace longtail::telemetry {
 
 namespace {
 
-// Columns are written and mapped as raw element arrays; the id wrappers
+// Columns are written and read as raw element arrays; the id wrappers
 // must be layout-identical to their underlying integers for that.
 static_assert(sizeof(model::FileId) == sizeof(std::uint32_t));
 static_assert(sizeof(model::MachineId) == sizeof(std::uint32_t));
@@ -142,11 +137,6 @@ void SectionTable::verify_section(std::span<const std::uint8_t> image,
   if (h != e.checksum)
     throw std::runtime_error("binary section checksum mismatch (section " +
                              std::to_string(e.kind) + "): " + path_);
-}
-
-void SectionTable::verify_all_sections(
-    std::span<const std::uint8_t> image) const {
-  for (const SectionEntry& e : entries_) verify_section(image, e);
 }
 
 // ---- shared v3 corpus codec -------------------------------------------
@@ -341,8 +331,7 @@ ColumnSlices column_slices(std::span<const std::uint8_t> image,
 }
 
 Corpus parse_corpus_sections(std::span<const std::uint8_t> image,
-                             const SectionTable& table, bool zero_copy_events,
-                             std::shared_ptr<const void> keepalive,
+                             const SectionTable& table,
                              const ReleaseFn& release) {
   Corpus corpus;
   const auto verified = [&](SectionKind kind) {
@@ -352,9 +341,8 @@ Corpus parse_corpus_sections(std::span<const std::uint8_t> image,
         table.payload(image, e), e);
   };
   const auto done = [&](const SectionEntry& e) {
-    if (release)
-      release(static_cast<std::size_t>(e.offset),
-              static_cast<std::size_t>(util::align8(e.length)));
+    release(static_cast<std::size_t>(e.offset),
+            static_cast<std::size_t>(util::align8(e.length)));
   };
 
   {
@@ -363,35 +351,23 @@ Corpus parse_corpus_sections(std::span<const std::uint8_t> image,
     done(e);
   }
 
+  // Every column is verified before any is copied, so damaged event data
+  // never reaches the store.
+  constexpr SectionKind kColumns[] = {
+      SectionKind::kEventFile,    SectionKind::kEventMachine,
+      SectionKind::kEventProcess, SectionKind::kEventUrl,
+      SectionKind::kEventTime,    SectionKind::kEventExecuted};
   const ColumnSlices cols = column_slices(image, table);
-  if (zero_copy_events) {
-    corpus.events =
-        EventStore::from_spans(cols.file, cols.machine, cols.process,
-                               cols.url, cols.time, cols.executed,
-                               std::move(keepalive));
-  } else {
-    // Owned load: copying faults every column page anyway, so verify the
-    // column checksums here where the zero-copy path skips them.
-    for (const SectionKind kind :
-         {SectionKind::kEventFile, SectionKind::kEventMachine,
-          SectionKind::kEventProcess, SectionKind::kEventUrl,
-          SectionKind::kEventTime, SectionKind::kEventExecuted}) {
-      const SectionEntry& e = table.require(kind);
-      table.verify_section(image, e);
-    }
-    corpus.events = EventStore::from_columns(
-        {cols.file.begin(), cols.file.end()},
-        {cols.machine.begin(), cols.machine.end()},
-        {cols.process.begin(), cols.process.end()},
-        {cols.url.begin(), cols.url.end()},
-        {cols.time.begin(), cols.time.end()},
-        {cols.executed.begin(), cols.executed.end()});
-    for (const SectionKind kind :
-         {SectionKind::kEventFile, SectionKind::kEventMachine,
-          SectionKind::kEventProcess, SectionKind::kEventUrl,
-          SectionKind::kEventTime, SectionKind::kEventExecuted})
-      done(table.require(kind));
-  }
+  for (const SectionKind kind : kColumns)
+    table.verify_section(image, table.require(kind));
+  corpus.events = EventStore::from_columns(
+      {cols.file.begin(), cols.file.end()},
+      {cols.machine.begin(), cols.machine.end()},
+      {cols.process.begin(), cols.process.end()},
+      {cols.url.begin(), cols.url.end()},
+      {cols.time.begin(), cols.time.end()},
+      {cols.executed.begin(), cols.executed.end()});
+  for (const SectionKind kind : kColumns) done(table.require(kind));
 
   {
     const auto [payload, e] = verified(SectionKind::kFiles);
@@ -426,167 +402,6 @@ Corpus parse_corpus_sections(std::span<const std::uint8_t> image,
   interner(SectionKind::kStrFamily, corpus.family_names);
   interner(SectionKind::kStrProcName, corpus.process_names);
   return corpus;
-}
-
-// ---- MappedCorpus ------------------------------------------------------
-
-struct MappedCorpus::Impl {
-  std::string path;
-  std::shared_ptr<util::FileImage> image;
-  SectionTable table;
-  CorpusMeta meta;
-  EventStore events;
-
-  std::once_flag files_once, processes_once, urls_once, domains_once,
-      interners_once;
-  std::vector<model::FileMeta> files;
-  std::vector<model::ProcessMeta> processes;
-  std::vector<model::UrlMeta> urls;
-  std::vector<model::DomainMeta> domains;
-  util::StringInterner domain_names, signer_names, ca_names, packer_names,
-      family_names, process_names;
-
-  Impl(std::string p, std::shared_ptr<util::FileImage> img)
-      : path(std::move(p)),
-        image(std::move(img)),
-        table(image->bytes(), kCorpusBinaryMagic, kCorpusBinaryVersion,
-              path) {}
-
-  std::pair<std::span<const std::uint8_t>, const SectionEntry&> verified(
-      SectionKind kind) const {
-    const SectionEntry& e = table.require(kind);
-    table.verify_section(image->bytes(), e);
-    return {table.payload(image->bytes(), e), e};
-  }
-
-  // All six name pools parse together behind interners_once: they are
-  // small, and any consumer that needs one name pool needs the rest.
-  void parse_interners() {
-    const auto one = [this](SectionKind kind, util::StringInterner& out) {
-      const auto [payload, e] = verified(kind);
-      parse_interner(payload, e.count, out);
-    };
-    one(SectionKind::kStrDomain, domain_names);
-    one(SectionKind::kStrSigner, signer_names);
-    one(SectionKind::kStrCa, ca_names);
-    one(SectionKind::kStrPacker, packer_names);
-    one(SectionKind::kStrFamily, family_names);
-    one(SectionKind::kStrProcName, process_names);
-  }
-};
-
-MappedCorpus MappedCorpus::open(const std::string& path) {
-  LONGTAIL_TRACE_SPAN("telemetry.mapped_open");
-  LONGTAIL_METRIC_TIMER("telemetry.mapped_open_ms");
-  auto impl = std::make_shared<Impl>(path,
-                                     std::make_shared<util::FileImage>(path));
-  impl->meta = parse_meta(impl->verified(SectionKind::kMeta).first);
-  const ColumnSlices cols = column_slices(impl->image->bytes(), impl->table);
-  impl->events =
-      EventStore::from_spans(cols.file, cols.machine, cols.process, cols.url,
-                             cols.time, cols.executed, impl->image);
-  MappedCorpus corpus(std::move(impl));
-  // Paranoia switch: hash every section up front (faults all pages in),
-  // trading away the lazy-validation win for end-to-end integrity.
-  if (const char* v = std::getenv("LONGTAIL_MMAP_VERIFY");
-      v != nullptr && std::string_view(v) == "full")
-    corpus.verify_all();
-  LONGTAIL_METRIC_COUNT("telemetry.io.events_mapped",
-                        corpus.events().size());
-  return corpus;
-}
-
-const EventStore& MappedCorpus::events() const noexcept {
-  return impl_->events;
-}
-std::uint64_t MappedCorpus::stored_fingerprint() const noexcept {
-  return impl_->meta.fingerprint;
-}
-std::uint32_t MappedCorpus::machine_count() const noexcept {
-  return impl_->meta.machine_count;
-}
-std::size_t MappedCorpus::file_bytes() const noexcept {
-  return impl_->image->size();
-}
-
-const std::vector<model::FileMeta>& MappedCorpus::files() const {
-  Impl& im = *impl_;
-  std::call_once(im.files_once, [&im] {
-    const auto [payload, e] = im.verified(SectionKind::kFiles);
-    im.files = parse_files(payload, e.count);
-  });
-  return im.files;
-}
-
-const std::vector<model::ProcessMeta>& MappedCorpus::processes() const {
-  Impl& im = *impl_;
-  std::call_once(im.processes_once, [&im] {
-    const auto [payload, e] = im.verified(SectionKind::kProcesses);
-    im.processes = parse_processes(payload, e.count);
-  });
-  return im.processes;
-}
-
-const std::vector<model::UrlMeta>& MappedCorpus::urls() const {
-  Impl& im = *impl_;
-  std::call_once(im.urls_once, [&im] {
-    const auto [payload, e] = im.verified(SectionKind::kUrls);
-    im.urls = parse_urls(payload, e.count);
-  });
-  return im.urls;
-}
-
-const std::vector<model::DomainMeta>& MappedCorpus::domains() const {
-  Impl& im = *impl_;
-  std::call_once(im.domains_once, [&im] {
-    const auto [payload, e] = im.verified(SectionKind::kDomains);
-    im.domains = parse_domains(payload, e.count);
-  });
-  return im.domains;
-}
-
-#define LONGTAIL_MAPPED_INTERNER(name)                                \
-  const util::StringInterner& MappedCorpus::name() const {            \
-    Impl& im = *impl_;                                                \
-    std::call_once(im.interners_once, [&im] { im.parse_interners(); }); \
-    return im.name;                                                   \
-  }
-LONGTAIL_MAPPED_INTERNER(domain_names)
-LONGTAIL_MAPPED_INTERNER(signer_names)
-LONGTAIL_MAPPED_INTERNER(ca_names)
-LONGTAIL_MAPPED_INTERNER(packer_names)
-LONGTAIL_MAPPED_INTERNER(family_names)
-LONGTAIL_MAPPED_INTERNER(process_names)
-#undef LONGTAIL_MAPPED_INTERNER
-
-Corpus MappedCorpus::materialize() const {
-  // Parse straight from the image rather than copying the lazy caches:
-  // a materialized corpus then costs one owned copy of the metadata
-  // sections, never two, and the event columns stay zero-copy views.
-  return parse_corpus_sections(impl_->image->bytes(), impl_->table,
-                               /*zero_copy_events=*/true, impl_->image);
-}
-
-void MappedCorpus::verify_all() const {
-  impl_->table.verify_all_sections(impl_->image->bytes());
-}
-
-void MappedCorpus::release_events_before(std::size_t event_index) const
-    noexcept {
-  const Impl& im = *impl_;
-  const auto release = [&](SectionKind kind, std::size_t elem_size) {
-    const SectionEntry* e = im.table.find(kind);
-    if (e == nullptr) return;
-    const std::size_t len =
-        std::min(event_index * elem_size, static_cast<std::size_t>(e->length));
-    im.image->release_range(static_cast<std::size_t>(e->offset), len);
-  };
-  release(SectionKind::kEventFile, sizeof(model::FileId));
-  release(SectionKind::kEventMachine, sizeof(model::MachineId));
-  release(SectionKind::kEventProcess, sizeof(model::ProcessId));
-  release(SectionKind::kEventUrl, sizeof(model::UrlId));
-  release(SectionKind::kEventTime, sizeof(model::Timestamp));
-  release(SectionKind::kEventExecuted, sizeof(std::uint8_t));
 }
 
 }  // namespace longtail::telemetry

@@ -65,11 +65,6 @@ auto scan_reduce(const Corpus& corpus, std::size_t begin, std::size_t end,
   LONGTAIL_METRIC_COUNT("corpus.scan.invocations", 1);
   LONGTAIL_METRIC_COUNT("corpus.scan.events_scanned", n);
   LONGTAIL_METRIC_COUNT("corpus.scan.shards", n_shards);
-  // Zero-copy corpora (telemetry/mapped.hpp) serve these scans straight
-  // from the file mapping; the counter makes the load path visible in
-  // the metrics snapshot.
-  if (corpus.events.mapped())
-    LONGTAIL_METRIC_COUNT("corpus.scan.mapped_invocations", 1);
   Acc total = make_acc();
   util::sharded_for(
       n, n_shards,

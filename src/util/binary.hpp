@@ -1,5 +1,5 @@
-// Minimal binary stream helpers for the sectioned LTCP/LTDS formats
-// (telemetry/binary.cpp, telemetry/mapped.cpp, synth/dataset_io.cpp).
+// Minimal binary stream helpers for the sectioned LTDS format
+// (telemetry/mapped.cpp, synth/dataset_io.cpp).
 //
 // Fixed-width little-endian integers, length-prefixed strings, and bulk
 // POD-array copies. The format is only written and read on little-endian
@@ -41,9 +41,9 @@ inline std::uint64_t fnv1a_bytes(std::uint64_t h, const void* p,
   return h;
 }
 
-// Round up to the 8-byte alignment the sectioned (v3) formats guarantee
-// for every section payload, so mapped integer columns can be read in
-// place.
+// Round up to the 8-byte alignment the sectioned (v3) format guarantees
+// for every section payload, so integer columns can be read in place
+// from the file image.
 inline constexpr std::uint64_t align8(std::uint64_t n) noexcept {
   return (n + 7) & ~std::uint64_t{7};
 }

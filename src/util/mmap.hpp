@@ -1,9 +1,9 @@
-// Read-only file mapping for the zero-copy corpus load path
-// (telemetry/mapped.hpp). `MappedFile` wraps mmap(PROT_READ, MAP_PRIVATE)
-// with RAII unmap; `FileImage` is the loader-facing abstraction: it maps
-// when it can and falls back to reading the whole file into a heap buffer
-// when mmap is unavailable (exotic filesystems), so every sectioned-format
-// loader parses from one `std::span<const std::uint8_t>` either way.
+// Read-only file image for the dataset loader (synth/dataset_io.hpp).
+// `MappedFile` wraps mmap(PROT_READ, MAP_PRIVATE) with RAII unmap;
+// `FileImage` is the loader-facing abstraction: it maps when it can and
+// falls back to reading the whole file into a heap buffer when mmap is
+// unavailable (exotic filesystems), so the loader parses from one
+// `std::span<const std::uint8_t>` either way.
 #pragma once
 
 #include <algorithm>
@@ -74,9 +74,9 @@ class MappedFile {
   }
 
   // Drops the resident pages fully inside [offset, offset+len) — the
-  // streaming full-scale scan uses this to keep the mapped path's memory
-  // high-water bounded. Page contents survive in the page cache; touching
-  // the range again is a cheap minor fault. Best effort: errors ignored.
+  // loader uses this to release each section once it is parsed. Page
+  // contents survive in the page cache; touching the range again is a
+  // cheap minor fault. Best effort: errors ignored.
   void release_range(std::size_t offset, std::size_t len) const noexcept {
     if (data_ == nullptr || len == 0 || offset >= size_) return;
     const std::size_t page = page_size();
@@ -107,8 +107,6 @@ class MappedFile {
 };
 
 // A whole file as a byte span: mapped when possible, heap-read otherwise.
-// Shared (shared_ptr) so zero-copy consumers (EventStore views, interner
-// pools) can keep the image alive past the loader's scope.
 class FileImage {
  public:
   explicit FileImage(const std::string& path) {
@@ -125,11 +123,8 @@ class FileImage {
     return mapped_ ? mapped_->bytes()
                    : std::span<const std::uint8_t>(heap_);
   }
-  [[nodiscard]] std::size_t size() const noexcept { return bytes().size(); }
-  [[nodiscard]] bool is_mapped() const noexcept { return mapped_ != nullptr; }
 
-  // See MappedFile::release_range; no-op for the heap fallback (owned
-  // loaders use this to bound their transient image residency).
+  // See MappedFile::release_range; no-op for the heap fallback.
   void release_range(std::size_t offset, std::size_t len) const noexcept {
     if (mapped_) mapped_->release_range(offset, len);
   }

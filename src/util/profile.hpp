@@ -48,9 +48,8 @@ std::uint64_t thread_cpu_ns() noexcept;
 std::uint64_t process_cpu_ns() noexcept;
 
 // Peak resident set of this process so far, in MiB (ru_maxrss is KiB on
-// Linux). Monotone per process — comparing load paths needs one process
-// per path (see the fullscale section of perf_pipeline). This is the one
-// shared definition; bench_common and the fullscale children reuse it.
+// Linux). Monotone per process. This is the one shared definition;
+// bench_common reuses it.
 double peak_rss_mb() noexcept;
 
 // One point-in-time resource reading (getrusage + /proc/self/statm).

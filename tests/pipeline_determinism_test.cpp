@@ -303,9 +303,9 @@ TEST_F(PipelineDeterminismTest, MigrationGateFreshRunMatchesPreMigration) {
 }
 
 TEST_F(PipelineDeterminismTest, MigrationGateCachedLoadsMatchPreMigration) {
-  // The corpus-cache load paths re-annotate a deserialized dataset, so a
-  // container regression on either the owned or the zero-copy mapped
-  // path would surface here as a pin mismatch.
+  // A corpus-cache load re-annotates a deserialized dataset, so a
+  // container regression on the load path would surface here as a pin
+  // mismatch.
   util::set_global_threads(2);
   const test::TempDir dir;
   const std::string path = dir.file("flat_table_migration_gate.ltds");
@@ -318,12 +318,6 @@ TEST_F(PipelineDeterminismTest, MigrationGateCachedLoadsMatchPreMigration) {
     EXPECT_EQ(core::dataset_fingerprint(owned.dataset()),
               kPinnedCleanFingerprint);
     expect_pinned_tables(owned, "owned load");
-  }
-  {
-    const core::LongtailPipeline mapped(synth::load_dataset_mapped(path));
-    EXPECT_EQ(core::dataset_fingerprint(mapped.dataset()),
-              kPinnedCleanFingerprint);
-    expect_pinned_tables(mapped, "mapped load");
   }
 }
 

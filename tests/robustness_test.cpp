@@ -15,7 +15,6 @@
 #include "avtype/avtype.hpp"
 #include "synth/dataset_io.hpp"
 #include "synth/generator.hpp"
-#include "telemetry/binary.hpp"
 #include "telemetry/io.hpp"
 #include "telemetry/mapped.hpp"
 #include "tests/temp_dir.hpp"
@@ -151,13 +150,12 @@ std::vector<std::size_t> sample_positions(std::size_t size,
 
 // ------------------------------------------------- binary loader fuzzing
 //
-// The LTCP corpus and LTDS dataset readers must turn ANY damaged image
-// into a typed std::runtime_error — never a crash, hang, allocation
-// blow-up, or silent partial load. Both formats checksum every section
-// plus the header and table of contents, and every byte of the image
-// falls in exactly one checksum region — so every single-bit flip and
-// every truncation is detectable by construction. These tests hold the
-// readers to that.
+// The LTDS dataset loader must turn ANY damaged image into a typed
+// std::runtime_error — never a crash, hang, allocation blow-up, or silent
+// partial load. The format checksums every section plus the header and
+// table of contents, and every byte of the image falls in exactly one
+// checksum region — so every single-bit flip and every truncation is
+// detectable by construction. These tests hold the loader to that.
 
 class BinaryFuzz : public ::testing::Test {
  protected:
@@ -219,24 +217,6 @@ class BinaryFuzz : public ::testing::Test {
   test::TempDir tmp_;
 };
 
-TEST_F(BinaryFuzz, CorpusLoaderRejectsRandomBytes) {
-  expect_random_bytes_rejected("ltcp_random.bin", telemetry::load_binary);
-}
-
-TEST_F(BinaryFuzz, CorpusLoaderRejectsEveryBitFlip) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
-  expect_all_bit_flips_rejected(file_bytes(path), "ltcp_flip.bin",
-                                telemetry::load_binary);
-}
-
-TEST_F(BinaryFuzz, CorpusLoaderRejectsEveryTruncation) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
-  expect_all_truncations_rejected(file_bytes(path), "ltcp_trunc.bin",
-                                  telemetry::load_binary);
-}
-
 TEST_F(BinaryFuzz, DatasetLoaderRejectsRandomBytes) {
   expect_random_bytes_rejected("ltds_random.bin", synth::load_dataset_binary);
 }
@@ -257,85 +237,66 @@ TEST_F(BinaryFuzz, DatasetLoaderRejectsEveryTruncation) {
 
 // ---- v3-specific hostile inputs ----------------------------------------
 
-// A mapped load that checks everything: structural validation at open,
-// then every section checksum.
-telemetry::Corpus mapped_full_load(const std::string& path) {
-  const auto mapped = telemetry::MappedCorpus::open(path);
-  mapped.verify_all();
-  return mapped.materialize();
-}
-
-TEST_F(BinaryFuzz, MappedLoaderRejectsRandomBytes) {
-  expect_random_bytes_rejected("ltcp_map_random.bin", mapped_full_load);
-}
-
-TEST_F(BinaryFuzz, MappedLoaderRejectsEveryBitFlip) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
-  expect_all_bit_flips_rejected(file_bytes(path), "ltcp_map_flip.bin",
-                                mapped_full_load);
-}
-
-TEST_F(BinaryFuzz, MappedLoaderRejectsEveryTruncation) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
-  expect_all_truncations_rejected(file_bytes(path), "ltcp_map_trunc.bin",
-                                  mapped_full_load);
-}
-
-// Opening a mapped corpus validates only the header and table of contents
-// — payload damage inside an event column is deliberately NOT caught at
-// open (that is the point: no page is faulted in before use), but
-// verify_all() must catch it.
-TEST_F(BinaryFuzz, MappedOpenIsLazyButVerifyAllCatchesPayloadDamage) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
-  std::string image = file_bytes(path);
-
+// A flip inside any of the six event columns must fail that column's
+// checksum: the loader verifies every column before copying it, so
+// damaged event data never reaches the index or the tables.
+TEST_F(BinaryFuzz, EveryEventColumnFlipFailsItsChecksum) {
+  const auto path = temp_path("ltds_good.bin");
+  synth::save_dataset_binary(dataset(), path);
+  const std::string image = file_bytes(path);
   const telemetry::SectionTable table(
       {reinterpret_cast<const std::uint8_t*>(image.data()), image.size()},
-      telemetry::kCorpusBinaryMagic, telemetry::kCorpusBinaryVersion, path);
-  const auto& col =
-      table.require(telemetry::SectionKind::kEventTime);
-  ASSERT_GT(col.length, 8u);
-  image[col.offset + col.length / 2] ^= 0x10;
+      synth::kDatasetBinaryMagic, synth::kDatasetBinaryVersion, path);
 
-  const auto scratch = temp_path("ltcp_lazy_flip.bin");
-  write_file(scratch, image);
-  const auto mapped = telemetry::MappedCorpus::open(scratch);  // must succeed
-  EXPECT_THROW(mapped.verify_all(), std::runtime_error);
+  using telemetry::SectionKind;
+  const auto scratch = temp_path("ltds_column_flip.bin");
+  for (const SectionKind kind :
+       {SectionKind::kEventFile, SectionKind::kEventMachine,
+        SectionKind::kEventProcess, SectionKind::kEventUrl,
+        SectionKind::kEventTime, SectionKind::kEventExecuted}) {
+    const auto& col = table.require(kind);
+    SCOPED_TRACE(col.kind);
+    ASSERT_GT(col.length, 8u);
+    std::string damaged = image;
+    damaged[col.offset + col.length / 2] ^= 0x10;
+    write_file(scratch, damaged);
+    try {
+      (void)synth::load_dataset_binary(scratch);
+      ADD_FAILURE() << "damaged column loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // A hostile section count must fail the header check before any
 // table-sized allocation is attempted.
 TEST_F(BinaryFuzz, OversizedSectionCountRejected) {
-  const auto scratch = temp_path("ltcp_sections.bin");
+  const auto scratch = temp_path("ltds_sections.bin");
   std::string image;
-  const std::uint32_t header[4] = {telemetry::kCorpusBinaryMagic,
-                                   telemetry::kCorpusBinaryVersion,
-                                   0xFFFFFFFFu, 0};
+  const std::uint32_t header[4] = {synth::kDatasetBinaryMagic,
+                                   synth::kDatasetBinaryVersion, 0xFFFFFFFFu,
+                                   0};
   image.append(reinterpret_cast<const char*>(header), sizeof(header));
   image.append(4096, '\0');  // plausible-looking body
   write_file(scratch, image);
-  EXPECT_THROW((void)telemetry::load_binary(scratch), std::runtime_error);
-  EXPECT_THROW((void)telemetry::MappedCorpus::open(scratch),
-               std::runtime_error);
+  EXPECT_THROW((void)synth::load_dataset_binary(scratch), std::runtime_error);
 }
 
 // Same guard one notch lower: a count above kMaxSections but small enough
 // that the table allocation would "work" must still be rejected.
 TEST_F(BinaryFuzz, SectionCountJustOverCapRejected) {
-  const auto scratch = temp_path("ltcp_sections_cap.bin");
+  const auto scratch = temp_path("ltds_sections_cap.bin");
   std::string image;
-  const std::uint32_t header[4] = {telemetry::kCorpusBinaryMagic,
-                                   telemetry::kCorpusBinaryVersion,
+  const std::uint32_t header[4] = {synth::kDatasetBinaryMagic,
+                                   synth::kDatasetBinaryVersion,
                                    telemetry::kMaxSections + 1, 0};
   image.append(reinterpret_cast<const char*>(header), sizeof(header));
   image.append(65 * 40 + 8, '\0');
   write_file(scratch, image);
-  EXPECT_THROW((void)telemetry::load_binary(scratch), std::runtime_error);
-  EXPECT_THROW((void)telemetry::MappedCorpus::open(scratch),
-               std::runtime_error);
+  EXPECT_THROW((void)synth::load_dataset_binary(scratch), std::runtime_error);
 }
 
 // ------------------------------------------------------- JSON fuzzing

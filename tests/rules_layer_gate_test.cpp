@@ -189,8 +189,8 @@ TEST_F(RuleLayerGate, FreshRunMatchesPinsAt1And2And8Threads) {
 }
 
 TEST_F(RuleLayerGate, CachedLoadsMatchPins) {
-  // Both corpus-cache load paths re-annotate a deserialized dataset; the
-  // rule layer must not be able to tell them from a fresh run.
+  // A corpus-cache load re-annotates a deserialized dataset; the rule
+  // layer must not be able to tell it from a fresh run.
   util::set_global_threads(2);
   const test::TempDir dir;
   const std::string path = dir.file("rule_layer_gate.ltds");
@@ -201,10 +201,6 @@ TEST_F(RuleLayerGate, CachedLoadsMatchPins) {
   {
     const core::LongtailPipeline owned(synth::load_dataset_binary(path));
     expect_pinned(owned, "owned load");
-  }
-  {
-    const core::LongtailPipeline mapped(synth::load_dataset_mapped(path));
-    expect_pinned(mapped, "mapped load");
   }
 }
 

@@ -7,14 +7,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "analysis/annotated.hpp"
 #include "core/pipeline.hpp"
 #include "synth/dataset_io.hpp"
 #include "synth/generator.hpp"
 #include "telemetry/io.hpp"
-#include "telemetry/mapped.hpp"
 #include "tests/temp_dir.hpp"
 
 namespace longtail::telemetry {
@@ -25,12 +26,14 @@ const synth::Dataset& small_dataset() {
   return ds;
 }
 
+// The CorpusBinary cases check the corpus sections of an LTDS file, the
+// one binary format.
 TEST(CorpusBinary, RoundTripPreservesEverything) {
   const auto& ds = small_dataset();
   const test::TempDir dir;
   const auto path = dir.file("corpus.bin");
-  save_binary(ds.corpus, path);
-  const Corpus loaded = load_binary(path);
+  synth::save_dataset_binary(ds, path);
+  const Corpus loaded = synth::load_dataset_binary(path).corpus;
 
   EXPECT_EQ(loaded.events, ds.corpus.events);
   EXPECT_EQ(loaded.machine_count, ds.corpus.machine_count);
@@ -50,7 +53,8 @@ TEST(CorpusBinary, TsvRoundTripPreservesFingerprint) {
 }
 
 TEST(CorpusBinary, MissingFileThrows) {
-  EXPECT_THROW(load_binary("/nonexistent/longtail_corpus.bin"),
+  EXPECT_THROW((void)synth::load_dataset_binary(
+                   "/nonexistent/longtail_corpus.bin"),
                std::runtime_error);
 }
 
@@ -58,17 +62,17 @@ TEST(CorpusBinary, TruncatedFileThrows) {
   const auto& ds = small_dataset();
   const test::TempDir dir;
   const auto path = dir.file("truncated.bin");
-  save_binary(ds.corpus, path);
+  synth::save_dataset_binary(ds, path);
   const auto full = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full / 2);
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  EXPECT_THROW((void)synth::load_dataset_binary(path), std::runtime_error);
 }
 
 TEST(CorpusBinary, CorruptedPayloadFailsFingerprintCheck) {
   const auto& ds = small_dataset();
   const test::TempDir dir;
   const auto path = dir.file("corrupt.bin");
-  save_binary(ds.corpus, path);
+  synth::save_dataset_binary(ds, path);
   {
     // Flip one byte well past the header (magic, version, section count
     // and a reserved word are the first 16 bytes).
@@ -80,7 +84,7 @@ TEST(CorpusBinary, CorruptedPayloadFailsFingerprintCheck) {
     b = static_cast<char>(b ^ 0x5A);
     f.write(&b, 1);
   }
-  EXPECT_THROW(load_binary(path), std::runtime_error);
+  EXPECT_THROW((void)synth::load_dataset_binary(path), std::runtime_error);
 }
 
 TEST(CorpusBinary, BadMagicThrows) {
@@ -93,7 +97,7 @@ TEST(CorpusBinary, BadMagicThrows) {
   out.write(reinterpret_cast<const char*>(junk), sizeof(junk));
   out.close();
   try {
-    (void)load_binary(path);
+    (void)synth::load_dataset_binary(path);
     ADD_FAILURE() << "bad magic loaded";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
@@ -134,15 +138,14 @@ TEST(DatasetBinary, ReloadedDatasetAnnotatesIdentically) {
   EXPECT_EQ(a1.file_types, a2.file_types);
 }
 
-// Every loader accepts exactly version 3. `save(path)` writes a v3 file;
-// copies whose version word (bytes 4-7) claims the retired version 2 or
-// an unknown version 4 must fail `load` with the header's typed version
-// error, before any section is read.
-template <typename Save, typename Load>
-void expect_other_versions_rejected(Save save, Load load) {
+// The loader accepts exactly version 3. Copies of a v3 file whose
+// version word (bytes 4-7) claims the retired version 2 or an unknown
+// version 4 must fail with the header's typed version error, before any
+// section is read.
+TEST(DatasetBinary, RetiredAndUnknownVersionsAreRejected) {
   const test::TempDir dir;
   const auto path = dir.file("v3.bin");
-  save(path);
+  synth::save_dataset_binary(small_dataset(), path);
   std::string image;
   {
     std::ifstream in(path, std::ios::binary);
@@ -154,7 +157,7 @@ void expect_other_versions_rejected(Save save, Load load) {
     const auto patched = dir.file("v" + std::to_string(version) + ".bin");
     std::ofstream(patched, std::ios::binary) << image;
     try {
-      (void)load(patched);
+      (void)synth::load_dataset_binary(patched);
       ADD_FAILURE() << "version " << version << " loaded";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("unsupported binary version " +
@@ -165,28 +168,82 @@ void expect_other_versions_rejected(Save save, Load load) {
   }
 }
 
-void save_corpus(const std::string& path) {
-  save_binary(small_dataset().corpus, path);
+// A corpus whose checksums and fingerprint are valid but one of whose ids
+// is past its table must fail both loaders with a message naming the
+// column and the id; the index and annotation layers would write through
+// that id unchecked.
+void expect_loaders_reject(const synth::Dataset& ds,
+                           const std::string& column_and_id) {
+  const test::TempDir dir;
+  const auto ltds = dir.file("dataset.ltds");
+  synth::save_dataset_binary(ds, ltds);
+  export_corpus(ds.corpus, dir.file("tsv"));
+  const auto expect_rejected = [&](const char* loader, auto load) {
+    try {
+      load();
+      ADD_FAILURE() << loader << " accepted " << column_and_id;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(column_and_id), std::string::npos)
+          << loader << ": " << e.what();
+    }
+  };
+  expect_rejected("load_dataset_binary",
+                  [&] { (void)synth::load_dataset_binary(ltds); });
+  expect_rejected("import_corpus",
+                  [&] { (void)import_corpus(dir.file("tsv")); });
 }
 
-void save_dataset(const std::string& path) {
-  synth::save_dataset_binary(small_dataset(), path);
+// small_dataset() with `mutate` applied to its middle event.
+template <typename Mutate>
+synth::Dataset with_middle_event(Mutate mutate) {
+  synth::Dataset ds = small_dataset();
+  const EventStore& original = ds.corpus.events;
+  EventStore events;
+  events.reserve(original.size());
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    model::DownloadEvent e = original[i];
+    if (i == original.size() / 2) mutate(e);
+    events.push_back(e);
+  }
+  ds.corpus.events = std::move(events);
+  return ds;
 }
 
-TEST(CorpusBinary, RetiredAndUnknownVersionsAreRejected) {
-  expect_other_versions_rejected(save_corpus, load_binary);
+std::uint32_t size32(std::size_t n) { return static_cast<std::uint32_t>(n); }
+
+TEST(CorpusIds, EventFileIdPastTheFileTableIsRejected) {
+  const std::uint32_t id = size32(small_dataset().corpus.files.size());
+  expect_loaders_reject(
+      with_middle_event([&](auto& e) { e.file = model::FileId{id}; }),
+      "event file id " + std::to_string(id));
 }
 
-TEST(DatasetBinary, RetiredAndUnknownVersionsAreRejected) {
-  expect_other_versions_rejected(save_dataset, synth::load_dataset_binary);
+TEST(CorpusIds, EventMachineIdAtMachineCountIsRejected) {
+  const std::uint32_t id = small_dataset().corpus.machine_count;
+  expect_loaders_reject(
+      with_middle_event([&](auto& e) { e.machine = model::MachineId{id}; }),
+      "event machine id " + std::to_string(id));
 }
 
-TEST(MappedCorpus, RetiredAndUnknownVersionsAreRejected) {
-  expect_other_versions_rejected(save_corpus, MappedCorpus::open);
+TEST(CorpusIds, EventProcessIdPastTheProcessTableIsRejected) {
+  const std::uint32_t id = size32(small_dataset().corpus.processes.size());
+  expect_loaders_reject(
+      with_middle_event([&](auto& e) { e.process = model::ProcessId{id}; }),
+      "event process id " + std::to_string(id));
 }
 
-TEST(MappedDataset, RetiredAndUnknownVersionsAreRejected) {
-  expect_other_versions_rejected(save_dataset, synth::load_dataset_mapped);
+TEST(CorpusIds, EventUrlIdPastTheUrlTableIsRejected) {
+  const std::uint32_t id = size32(small_dataset().corpus.urls.size());
+  expect_loaders_reject(
+      with_middle_event([&](auto& e) { e.url = model::UrlId{id}; }),
+      "event url id " + std::to_string(id));
+}
+
+TEST(CorpusIds, UrlDomainIdPastTheDomainTableIsRejected) {
+  synth::Dataset ds = small_dataset();
+  const std::uint32_t id = size32(ds.corpus.domains.size());
+  ds.corpus.urls[ds.corpus.urls.size() / 2].domain = model::DomainId{id};
+  expect_loaders_reject(ds, "url domain id " + std::to_string(id));
 }
 
 }  // namespace
