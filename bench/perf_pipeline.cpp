@@ -373,8 +373,8 @@ void emit_trajectory() {
   // End of the fixed workload: fold the profile summary in and capture
   // the snapshot now, before any machine-dependent pass can perturb it.
   // Rebuilding the pool first is a drain barrier — workers join only
-  // after the queue empties, so every pool task has been accounted and
-  // the task counters in the snapshot are exact.
+  // after the queue empties, so every pool task's span has closed and the
+  // profile.pool.task_ms count in the snapshot is exact.
   util::set_global_threads(2);
   util::profile::publish_metrics();
   const std::string metrics_snapshot = util::metrics::snapshot_json();

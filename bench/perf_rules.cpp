@@ -243,8 +243,8 @@ void emit_trajectory() {
   // Fold the profile summary in and capture the snapshot before the
   // thread restore: the {1,2,8} fan-out is the fixed workload whose
   // counters bench_compare gates exactly across machines. Rebuilding the
-  // pool first drains any still-queued task wrappers so the pool-task
-  // counters are exact.
+  // pool first drains any still-queued task wrappers so the
+  // profile.pool.task_ms count is exact.
   util::set_global_threads(2);
   util::profile::publish_metrics();
   const std::string metrics_snapshot = util::metrics::snapshot_json();

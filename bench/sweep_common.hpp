@@ -11,9 +11,7 @@
 // harness, reusable per sweep run).
 #pragma once
 
-#include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/streaming.hpp"
@@ -96,26 +94,20 @@ struct SigmaCapStats {
   }
 };
 
-inline SigmaCapStats measure_sigma_cap(const synth::Dataset& ds) {
+// Reads the accepted corpus's distinct machines per file from the
+// pipeline's index; the collection server caps them at sigma, so a file
+// at sigma is saturated.
+inline SigmaCapStats measure_sigma_cap(
+    const core::LongtailPipeline& pipeline) {
+  const synth::Dataset& ds = pipeline.dataset();
+  const telemetry::CorpusIndex& index = pipeline.annotated().index;
   SigmaCapStats s;
   s.dropped_prevalence_cap = ds.collection_stats.dropped_prevalence_cap;
   s.accepted = ds.collection_stats.accepted;
   s.total_seen = ds.collection_stats.total_seen();
-  // Distinct admitted machines per file over the accepted corpus; the
-  // collection server caps them at sigma, so == sigma means saturated.
-  const std::uint32_t sigma = ds.profile.sigma;
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> machines;
-  const auto& events = ds.corpus.events;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto e = events[i];
-    machines[e.file().raw()].push_back(e.machine().raw());
-  }
-  s.files_seen = machines.size();
-  for (auto& [file, ms] : machines) {
-    std::sort(ms.begin(), ms.end());
-    ms.erase(std::unique(ms.begin(), ms.end()), ms.end());
-    if (ms.size() >= sigma) ++s.saturated_files;
-  }
+  s.files_seen = index.observed_files().size();
+  for (const model::FileId f : index.observed_files())
+    if (index.reach().prevalence(f) >= ds.profile.sigma) ++s.saturated_files;
   return s;
 }
 

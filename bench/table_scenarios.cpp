@@ -55,9 +55,9 @@ ScenarioRun measure(const std::string& name, double scale,
                          ? ds.collection_stats.total_seen() ==
                                transport.delivered
                          : transport.reports_offered == 0;
-  run.sigma = bench::measure_sigma_cap(ds);
 
   const core::LongtailPipeline pipeline(std::move(ds));
+  run.sigma = bench::measure_sigma_cap(pipeline);
   run.headline = bench::measure_headline(pipeline);
   run.streaming =
       bench::replay_streaming(pipeline.dataset(), pipeline.annotated());

@@ -25,7 +25,6 @@ AnnotatedCorpus annotate(const telemetry::Corpus& corpus,
                          const groundtruth::VtDatabase& vt,
                          avtype::ManualOracle oracle) {
   LONGTAIL_TRACE_SPAN("analysis.annotate");
-  LONGTAIL_METRIC_TIMER("analysis.annotate_ms");
   AnnotatedCorpus a = [&] {
     LONGTAIL_TRACE_SPAN("analysis.index");
     return AnnotatedCorpus(corpus);

@@ -18,7 +18,6 @@ LongtailPipeline::LongtailPipeline(const synth::CalibrationProfile& profile)
 LongtailPipeline::LongtailPipeline(synth::Dataset dataset)
     : dataset_(std::move(dataset)) {
   LONGTAIL_TRACE_SPAN("pipeline.annotate");
-  LONGTAIL_METRIC_TIMER("pipeline.annotate_ms");
   annotated_ = std::make_unique<analysis::AnnotatedCorpus>(analysis::annotate(
       dataset_.corpus, dataset_.whitelist, dataset_.vt));
 }
@@ -35,7 +34,6 @@ RuleExperiment rule_experiment(
       "pipeline.rule_experiment",
       "train=" + std::string(model::month_name(train)) +
           " test=" + std::string(model::month_name(test)));
-  LONGTAIL_METRIC_TIMER("pipeline.rule_experiment_ms");
   LONGTAIL_METRIC_COUNT("pipeline.rule_experiments", 1);
   RuleExperiment exp;
   exp.train_month = train;
@@ -92,9 +90,7 @@ std::vector<RuleExperiment> LongtailPipeline::run_rule_experiments(
 TauEvaluation LongtailPipeline::evaluate_tau(const RuleExperiment& experiment,
                                              double tau,
                                              rules::ConflictPolicy policy) {
-  LONGTAIL_TRACE_SPAN_DETAIL("pipeline.evaluate_tau",
-                             "tau=" + std::to_string(tau));
-  LONGTAIL_METRIC_TIMER("pipeline.tau_eval_ms");
+  LONGTAIL_TRACE_SPAN_DETAIL("pipeline.tau_eval", "tau=" + std::to_string(tau));
   LONGTAIL_METRIC_COUNT("pipeline.tau_evaluations", 1);
   TauEvaluation out;
   out.tau = tau;
@@ -110,7 +106,6 @@ std::vector<TauEvaluation> LongtailPipeline::evaluate_taus(
     const RuleExperiment& experiment, std::span<const double> taus,
     rules::ConflictPolicy policy) {
   LONGTAIL_TRACE_SPAN("pipeline.tau_sweep");
-  LONGTAIL_METRIC_TIMER("pipeline.tau_sweep_ms");
   return util::parallel_map(taus.size(), [&](std::size_t i) {
     return evaluate_tau(experiment, taus[i], policy);
   });

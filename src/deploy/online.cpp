@@ -193,10 +193,8 @@ void OnlineLabeler::serve_event(const model::DownloadEvent& e) {
 }
 
 void OnlineLabeler::serve(const telemetry::EventWindow& window) {
-  LONGTAIL_TRACE_SPAN_DETAIL(
-      "deploy.serve_window",
-      "events=" + std::to_string(window.events.size()));
-  LONGTAIL_METRIC_TIMER("deploy.serve_ms");
+  LONGTAIL_TRACE_SPAN_DETAIL("deploy.serve",
+                             "events=" + std::to_string(window.events.size()));
   serve_events(window.events);
   if (window.events.size() > peak_window_events_)
     peak_window_events_ = window.events.size();

@@ -69,7 +69,6 @@ WindowDataset build_window_dataset(const analysis::AnnotatedCorpus& a,
                                    std::span<const FirstEvent> test_first,
                                    WindowOptions options) {
   LONGTAIL_TRACE_SPAN("features.build_window_dataset");
-  LONGTAIL_METRIC_TIMER("features.build_window_dataset_ms");
   FeatureExtractor extract(a, space);
   WindowDataset out;
   // Files first downloaded in training; the intersection between

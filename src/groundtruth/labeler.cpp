@@ -69,7 +69,6 @@ LabelSet Labeler::label_all(std::size_t num_files, std::size_t num_processes,
                             const Whitelist& whitelist,
                             const VtDatabase& vt) const {
   LONGTAIL_TRACE_SPAN("groundtruth.label_all");
-  LONGTAIL_METRIC_TIMER("groundtruth.label_all_ms");
   // Each artifact's verdict depends only on its own evidence, so the loops
   // are parallel over preallocated slots; output order is by id either way.
   LabelSet out;

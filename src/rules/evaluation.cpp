@@ -20,14 +20,12 @@ constexpr std::size_t kEvalShards = 64;
 EvalResult evaluate(const RuleClassifier& classifier,
                     std::span<const features::Instance> test) {
   LONGTAIL_TRACE_SPAN("rules.evaluate");
-  LONGTAIL_METRIC_TIMER("rules.evaluate_ms");
   LONGTAIL_METRIC_COUNT("rules.instances_evaluated", test.size());
   EvalResult r;
   util::sharded_for(
       test.size(), kEvalShards,
       [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-        LONGTAIL_TRACE_SPAN("rules.evaluate.shard");
-        LONGTAIL_METRIC_TIMER("rules.eval.shard_ms");
+        LONGTAIL_TRACE_SPAN("rules.eval.shard");
         EvalResult s;
         for (std::size_t i = begin; i < end; ++i) {
           const auto& inst = test[i];
@@ -82,15 +80,13 @@ ExpansionResult expand_unknowns(
     const RuleClassifier& classifier,
     std::span<const features::Instance> unknowns) {
   LONGTAIL_TRACE_SPAN("rules.expand_unknowns");
-  LONGTAIL_METRIC_TIMER("rules.expand_unknowns_ms");
   LONGTAIL_METRIC_COUNT("rules.unknowns_classified", unknowns.size());
   ExpansionResult r;
   r.total_unknowns = unknowns.size();
   util::sharded_for(
       unknowns.size(), kEvalShards,
       [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-        LONGTAIL_TRACE_SPAN("rules.expand_unknowns.shard");
-        LONGTAIL_METRIC_TIMER("rules.eval.shard_ms");
+        LONGTAIL_TRACE_SPAN("rules.eval.shard");
         ExpansionResult s;
         for (std::size_t i = begin; i < end; ++i) {
           switch (classifier.classify(unknowns[i].x)) {

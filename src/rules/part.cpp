@@ -189,7 +189,6 @@ std::vector<Rule> PartLearner::learn(
     std::span<const Instance> data) const {
   LONGTAIL_TRACE_SPAN_DETAIL("rules.part.learn",
                              "instances=" + std::to_string(data.size()));
-  LONGTAIL_METRIC_TIMER("rules.part.learn_ms");
   std::vector<Rule> rules;
   std::vector<std::uint32_t> remaining(data.size());
   for (std::uint32_t i = 0; i < remaining.size(); ++i) remaining[i] = i;

@@ -65,7 +65,6 @@ MatchResult match_demands(std::uint64_t seed,
       "synth.chains.match",
       "demands=" + std::to_string(demands.size()) +
           " consumers=" + std::to_string(consumers.size()));
-  LONGTAIL_METRIC_TIMER("synth.chains.match_ms");
 
   MatchResult result;
   result.demand_for_consumer.assign(consumers.size(), kUnmatched);

@@ -7,7 +7,6 @@
 #include "telemetry/binary.hpp"
 #include "util/binary.hpp"
 #include "util/flat_table.hpp"
-#include "util/metrics.hpp"
 #include "util/mmap.hpp"
 #include "util/trace.hpp"
 
@@ -257,7 +256,6 @@ void parse_dataset_sections(std::span<const std::uint8_t> image,
 
 void save_dataset_binary(const Dataset& dataset, const std::string& path) {
   LONGTAIL_TRACE_SPAN("synth.save_dataset");
-  LONGTAIL_METRIC_TIMER("synth.save_dataset_ms");
   util::BinaryWriter out(path);
   out.reset_region_hash();
   out.u32(kDatasetBinaryMagic);
@@ -273,7 +271,6 @@ void save_dataset_binary(const Dataset& dataset, const std::string& path) {
 
 Dataset load_dataset_binary(const std::string& path) {
   LONGTAIL_TRACE_SPAN("synth.load_dataset");
-  LONGTAIL_METRIC_TIMER("synth.load_dataset_ms");
   util::FileImage image(path);
   const auto bytes = image.bytes();
   const SectionTable table(bytes, kDatasetBinaryMagic, kDatasetBinaryVersion,

@@ -1018,7 +1018,6 @@ void Generator::resolve_events() {
   std::vector<chains::Demand> demands;
   {
     LONGTAIL_TRACE_SPAN("synth.resolve_events.independent");
-    LONGTAIL_METRIC_TIMER("synth.resolve_events.independent_ms");
     auto resolved = util::parallel_map(
         phase1.size(),
         [&](std::size_t i) { return resolve_independent_file(phase1[i]); },
@@ -1035,7 +1034,6 @@ void Generator::resolve_events() {
     LONGTAIL_TRACE_SPAN_DETAIL(
         "synth.resolve_events.demand_queues",
         "files=" + std::to_string(phase2.size() + phase3.size()));
-    LONGTAIL_METRIC_TIMER("synth.resolve_events.demand_queues_ms");
     LONGTAIL_METRIC_COUNT("synth.chain.files_resolved",
                           phase2.size() + phase3.size());
     std::uint64_t produced = demands.size();
@@ -1110,14 +1108,12 @@ void Generator::resolve_events() {
 
   {
     LONGTAIL_TRACE_SPAN("synth.resolve_events.pending");
-    LONGTAIL_METRIC_TIMER("synth.resolve_events.pending_ms");
     LONGTAIL_METRIC_COUNT("synth.pending_resolved", pending_.size());
     resolve_pending();
   }
 
   {
     LONGTAIL_TRACE_SPAN("synth.resolve_events.repeats");
-    LONGTAIL_METRIC_TIMER("synth.resolve_events.repeats_ms");
     resolve_repeats();
   }
 }
@@ -1515,7 +1511,6 @@ void Generator::compute_signer_prefixes() {
 
 Dataset Generator::run() {
   LONGTAIL_TRACE_SPAN("synth.generate");
-  LONGTAIL_METRIC_TIMER("synth.generate_ms");
   {
     LONGTAIL_TRACE_SPAN("synth.calibrate");
     build_cat_samplers();
@@ -1523,23 +1518,19 @@ Dataset Generator::run() {
   }
   {
     LONGTAIL_TRACE_SPAN("synth.draft_files");
-    LONGTAIL_METRIC_TIMER("synth.draft_files_ms");
     draft_files();
     LONGTAIL_METRIC_COUNT("synth.files_drafted", drafts_.size());
   }
   if (profile_.scenario.active()) {
     LONGTAIL_TRACE_SPAN("synth.apply_scenario");
-    LONGTAIL_METRIC_TIMER("synth.apply_scenario_ms");
     apply_scenario();
   }
   {
     LONGTAIL_TRACE_SPAN("synth.materialize_files");
-    LONGTAIL_METRIC_TIMER("synth.materialize_files_ms");
     materialize_files();
   }
   {
     LONGTAIL_TRACE_SPAN("synth.resolve_events");
-    LONGTAIL_METRIC_TIMER("synth.resolve_events_ms");
     resolve_events();
   }
   {
@@ -1548,12 +1539,10 @@ Dataset Generator::run() {
   }
   {
     LONGTAIL_TRACE_SPAN("synth.finalize_corpus");
-    LONGTAIL_METRIC_TIMER("synth.finalize_corpus_ms");
     finalize_corpus();
   }
   {
     LONGTAIL_TRACE_SPAN("synth.build_file_evidence");
-    LONGTAIL_METRIC_TIMER("synth.build_file_evidence_ms");
     build_file_evidence();
   }
   LONGTAIL_METRIC_COUNT("synth.events_raw", raw_events_.size());

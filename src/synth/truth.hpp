@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "model/ids.hpp"
 #include "model/labels.hpp"
 
 namespace longtail::synth {
@@ -34,19 +33,6 @@ struct TruthTable {
   std::vector<model::Verdict> process_intended;
 
   static constexpr std::uint32_t kNoFamily = ~0u;
-
-  [[nodiscard]] Nature nature_of(model::FileId f) const {
-    return file_nature[f.raw()];
-  }
-  [[nodiscard]] model::MalwareType type_of(model::FileId f) const {
-    return file_type[f.raw()];
-  }
-  [[nodiscard]] Nature nature_of(model::ProcessId p) const {
-    return process_nature[p.raw()];
-  }
-  [[nodiscard]] model::MalwareType type_of(model::ProcessId p) const {
-    return process_type[p.raw()];
-  }
 };
 
 }  // namespace longtail::synth

@@ -32,7 +32,6 @@ CorpusIndex::CorpusIndex(const Corpus& corpus)
 
   const std::size_t nf = corpus.files.size();
   first_seen_.assign(nf, std::numeric_limits<model::Timestamp>::max());
-  last_seen_.assign(nf, std::numeric_limits<model::Timestamp>::min());
 
   std::vector<std::uint32_t> machine_counts(corpus.machine_count + 1, 0);
 
@@ -40,7 +39,6 @@ CorpusIndex::CorpusIndex(const Corpus& corpus)
     reach_.add(corpus.events[i]);
     const auto f = files[i].raw();
     first_seen_[f] = std::min(first_seen_[f], times[i]);
-    last_seen_[f] = std::max(last_seen_[f], times[i]);
     ++machine_counts[machines[i].raw()];
   }
 

@@ -1,6 +1,6 @@
 // Derived indexes over a Corpus. Built once, queried by every analysis
 // module: per-file reach (distinct machines, prevalence, via-browser) and
-// first/last-seen, per-machine event timelines, and per-month slices.
+// first-seen time, per-machine event timelines, and per-month slices.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +73,6 @@ class CorpusIndex {
   [[nodiscard]] model::Timestamp first_seen(model::FileId f) const {
     return first_seen_[f.raw()];
   }
-  [[nodiscard]] model::Timestamp last_seen(model::FileId f) const {
-    return last_seen_[f.raw()];
-  }
   // Files with at least one event, ascending.
   [[nodiscard]] const std::vector<model::FileId>& observed_files() const {
     return observed_files_;
@@ -108,7 +105,6 @@ class CorpusIndex {
   const Corpus* corpus_;
   FileReach reach_;
   std::vector<model::Timestamp> first_seen_;
-  std::vector<model::Timestamp> last_seen_;
   std::vector<model::FileId> observed_files_;
   std::vector<std::size_t> machine_offsets_;
   std::vector<std::uint32_t> machine_event_idx_;

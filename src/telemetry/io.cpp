@@ -81,7 +81,6 @@ std::uint32_t parse_opt_id(const std::string& s, bool present) {
 
 void export_corpus(const Corpus& corpus, const std::string& dir) {
   LONGTAIL_TRACE_SPAN("telemetry.export_corpus");
-  LONGTAIL_METRIC_TIMER("telemetry.export_corpus_ms");
   LONGTAIL_METRIC_COUNT("telemetry.io.events_written", corpus.events.size());
   std::filesystem::create_directories(dir);
   const auto path = [&](const char* name) { return dir + "/" + name; };
@@ -151,7 +150,6 @@ void export_corpus(const Corpus& corpus, const std::string& dir) {
 
 Corpus import_corpus(const std::string& dir) {
   LONGTAIL_TRACE_SPAN("telemetry.import_corpus");
-  LONGTAIL_METRIC_TIMER("telemetry.import_corpus_ms");
   Corpus corpus;
   const auto path = [&](const char* name) { return dir + "/" + name; };
   std::vector<std::string> cells;

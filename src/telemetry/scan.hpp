@@ -59,7 +59,6 @@ auto scan_reduce(const Corpus& corpus, std::size_t begin, std::size_t end,
                  const char* label = "") {
   using Acc = decltype(make_acc());
   LONGTAIL_TRACE_SPAN_DETAIL("corpus.scan", std::string(label));
-  LONGTAIL_METRIC_TIMER("corpus.scan_ms");
   const std::size_t n = end - begin;
   const std::size_t n_shards = scan_shard_count(n);
   LONGTAIL_METRIC_COUNT("corpus.scan.invocations", 1);
@@ -92,7 +91,6 @@ auto scan_reduce_indexed(std::size_t n, MakeAcc make_acc, Fn fn,
                          Combine combine, const char* label = "") {
   using Acc = decltype(make_acc());
   LONGTAIL_TRACE_SPAN_DETAIL("corpus.scan", std::string(label));
-  LONGTAIL_METRIC_TIMER("corpus.scan_ms");
   const std::size_t n_shards = scan_shard_count(n);
   LONGTAIL_METRIC_COUNT("corpus.scan.invocations", 1);
   LONGTAIL_METRIC_COUNT("corpus.scan.items_scanned", n);

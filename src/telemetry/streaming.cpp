@@ -154,9 +154,8 @@ void StreamingCollectionServer::release_until(
 
 void StreamingCollectionServer::ingest(std::span<const DeliveredReport> chunk,
                                        std::vector<EventWindow>& closed) {
-  LONGTAIL_TRACE_SPAN_DETAIL("telemetry.stream_ingest",
+  LONGTAIL_TRACE_SPAN_DETAIL("telemetry.stream.ingest",
                              "copies=" + std::to_string(chunk.size()));
-  LONGTAIL_METRIC_TIMER("telemetry.stream.ingest_ms");
   LONGTAIL_METRIC_COUNT("telemetry.stream.chunks", 1);
   const CollectionStats before = stats_;
 

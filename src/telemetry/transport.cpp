@@ -65,7 +65,6 @@ std::vector<DeliveredReport> FaultyTransport::deliver(
     std::span<const model::DownloadEvent> raw) {
   LONGTAIL_TRACE_SPAN_DETAIL("telemetry.transport.deliver",
                              "reports=" + std::to_string(raw.size()));
-  LONGTAIL_METRIC_TIMER("telemetry.transport.deliver_ms");
   stats_ = TransportStats{};
   stats_.reports_offered = raw.size();
 

@@ -5,12 +5,11 @@
 //
 // Design:
 //   * `FlatMap<K, V>` / `FlatSet<K>` keep entries in one dense vector in
-//     insertion order (erase is swap-remove) and probe through per-
-//     partition open-addressing index arrays of 8-byte slots
-//     {entry index, 32-bit hash fragment}. A 64-byte cache line holds a
-//     group of 8 slots, so a probe walk touches one line in the common
-//     case and the fragment check makes entry loads (the second cache
-//     miss) almost always true hits.
+//     insertion order and probe through per-partition open-addressing
+//     index arrays of 8-byte slots {entry index, 32-bit hash fragment}.
+//     A 64-byte cache line holds a group of 8 slots, so a probe walk
+//     touches one line in the common case and the fragment check makes
+//     entry loads (the second cache miss) almost always true hits.
 //   * The index is split into 2^kPartitionBits fixed partitions selected
 //     by the hash's top bits — partitioned rehash (small pauses, no
 //     global stop) and safe concurrent *read* sharding; the partition
@@ -20,15 +19,13 @@
 //     of kBatchWidth, issuing `__builtin_prefetch` for every window
 //     member's index group (and candidate entry line) before any probe
 //     resolves, hiding the cache-miss latency that dominates point
-//     lookups on large tables. `prefetch(key)` is the building block for
-//     call sites that interleave lookups with other work.
-//   * Deletion is tombstone-free: erase backward-shifts the probe chain,
-//     so insert/erase churn never degrades probe lengths the way
-//     tombstone schemes do, and rehash never has to filter dead slots.
-//   * Iteration order is the insertion order modulo swap-remove erases —
-//     a pure function of the operation sequence, never of hashing,
-//     addresses, or scheduling. Dataset fingerprints and table stdout
-//     stay byte-identical across reruns, platforms, and thread counts.
+//     lookups on large tables.
+//   * The tables only grow: there is no erase, so every index slot is
+//     live or empty and a rehash is a straight redistribution.
+//   * Iteration order is the insertion order — a pure function of the
+//     operation sequence, never of hashing, addresses, or scheduling.
+//     Dataset fingerprints and table stdout stay byte-identical across
+//     reruns, platforms, and thread counts.
 //
 // Instrumented with metrics counters (enabled runs only):
 //   util.flat_table.probes            slots inspected by finds/inserts
@@ -36,10 +33,9 @@
 //   util.flat_table.rehashes          partition rehashes
 //
 // References returned by find/operator[]/try_emplace are invalidated by
-// any mutating call (the dense vector reallocates and swap-remove moves
-// entries) — unlike std::unordered_map, do not hold them across inserts
-// or erases. Concurrent const reads are safe; any mutation requires
-// exclusive access.
+// any insert (the dense vector reallocates) — unlike std::unordered_map,
+// do not hold them across inserts. Concurrent const reads are safe; any
+// mutation requires exclusive access.
 #pragma once
 
 #include <array>
@@ -128,8 +124,8 @@ class FlatMap {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
 
-  // Insertion-order iteration (see file comment for the erase caveat).
-  // Mutable iteration may change values, never keys.
+  // Insertion-order iteration. Mutable iteration may change values,
+  // never keys.
   [[nodiscard]] const_iterator begin() const noexcept {
     return entries_.begin();
   }
@@ -190,70 +186,6 @@ class FlatMap {
   }
 
   V& operator[](const K& key) { return *try_emplace(key).first; }
-
-  // Erases `key` if present (backward-shift deletion — no tombstones).
-  // The last-inserted entry takes the erased entry's dense position.
-  bool erase(const K& key) {
-    const std::uint64_t h = hash_(key);
-    Partition& p = parts_[h >> kPartShift];
-    if (p.slots.empty()) return false;
-    std::size_t i = h & p.mask;
-    const std::uint32_t frag = static_cast<std::uint32_t>(h >> 32);
-    std::uint64_t probes = 0;
-    std::uint32_t entry_index = detail_flat::kNilSlot;
-    for (;;) {
-      ++probes;
-      const detail_flat::Slot s = p.slots[i];
-      if (s.index == detail_flat::kNilSlot) break;
-      if (s.fragment == frag && entries_[s.index].key == key) {
-        entry_index = s.index;
-        break;
-      }
-      i = (i + 1) & p.mask;
-    }
-    detail_flat::count_probes(probes);
-    if (entry_index == detail_flat::kNilSlot) return false;
-
-    // Backward shift: pull every displaced successor one step toward its
-    // home bucket until the chain hits an empty slot.
-    std::size_t hole = i;
-    std::size_t j = (i + 1) & p.mask;
-    while (p.slots[j].index != detail_flat::kNilSlot) {
-      const std::size_t home =
-          hash_(entries_[p.slots[j].index].key) & p.mask;
-      // The occupant of j may fill the hole iff the hole lies within
-      // [home, j] in cyclic probe order.
-      if (((j - home) & p.mask) >= ((j - hole) & p.mask)) {
-        p.slots[hole] = p.slots[j];
-        hole = j;
-      }
-      j = (j + 1) & p.mask;
-    }
-    p.slots[hole] = {detail_flat::kNilSlot, 0};
-    --p.used;
-
-    // Dense-vector swap-remove; repoint the moved entry's slot.
-    const std::uint32_t last =
-        static_cast<std::uint32_t>(entries_.size() - 1);
-    if (entry_index != last) {
-      entries_[entry_index] = std::move(entries_[last]);
-      const std::uint64_t hm = hash_(entries_[entry_index].key);
-      Partition& pm = parts_[hm >> kPartShift];
-      std::size_t k = hm & pm.mask;
-      while (pm.slots[k].index != last) k = (k + 1) & pm.mask;
-      pm.slots[k].index = entry_index;
-    }
-    entries_.pop_back();
-    return true;
-  }
-
-  // Prefetches the index group `key`'s probe starts in (read intent).
-  void prefetch(const K& key) const {
-    const std::uint64_t h = hash_(key);
-    const Partition& p = parts_[h >> kPartShift];
-    if (!p.slots.empty())
-      __builtin_prefetch(p.slots.data() + (h & p.mask), 0, 1);
-  }
 
   // Batched lookup: out[i] = found value pointer or nullptr; returns the
   // hit count. Keys are processed in kBatchWidth windows: hashes and
@@ -380,8 +312,8 @@ class FlatMap {
     std::vector<detail_flat::Slot> old = std::move(p.slots);
     p.slots.assign(new_cap, {detail_flat::kNilSlot, 0});
     p.mask = new_cap - 1;
-    // Tombstone-free by construction: every surviving slot is live, so
-    // the rehash is a straight redistribution.
+    // Every occupied slot is live, so the rehash is a straight
+    // redistribution.
     for (const detail_flat::Slot s : old) {
       if (s.index == detail_flat::kNilSlot) continue;
       std::size_t i = hash_(entries_[s.index].key) & p.mask;
@@ -419,7 +351,7 @@ class FlatMap {
   }
 
   std::array<Partition, kPartitions> parts_;
-  std::vector<Entry> entries_;  // dense, insertion order (erase swaps)
+  std::vector<Entry> entries_;  // dense, insertion order
   [[no_unique_address]] Hash hash_;
 };
 
@@ -445,15 +377,12 @@ class FlatSet {
   void reserve(std::size_t n) { map_.reserve(n); }
 
   bool insert(const K& key) { return map_.try_emplace(key).second; }
-  bool erase(const K& key) { return map_.erase(key); }
   [[nodiscard]] bool contains(const K& key) const {
     return map_.contains(key);
   }
   [[nodiscard]] std::size_t count(const K& key) const {
     return contains(key) ? 1 : 0;
   }
-
-  void prefetch(const K& key) const { map_.prefetch(key); }
 
   // inserted[i] = 1 when key i was new (duplicates within the batch
   // resolve in key order, exactly like sequential insert calls).
@@ -463,7 +392,7 @@ class FlatSet {
     map_.insert_batch(keys, units_, inserted);
   }
 
-  // Key iteration in insertion order (modulo swap-remove erases).
+  // Key iteration in insertion order.
   class const_iterator {
    public:
     using value_type = K;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -51,13 +50,6 @@ auto& lookup(Map& map, std::mutex& mutex, std::string_view name) {
              .first;
   }
   return *it->second;
-}
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 // Bucket b covers values <= 2^b microseconds; the last bucket overflows.
@@ -234,13 +226,6 @@ void reset_for_testing() {
   for (auto& [name, c] : r.counters) c->reset();
   for (auto& [name, g] : r.gauges) g->reset();
   for (auto& [name, h] : r.histograms) h->reset();
-}
-
-ScopedTimer::ScopedTimer(Histogram& h) noexcept
-    : hist_(&h), start_ns_(now_ns()) {}
-
-ScopedTimer::~ScopedTimer() {
-  hist_->record_ms(static_cast<double>(now_ns() - start_ns_) / 1e6);
 }
 
 }  // namespace longtail::util::metrics

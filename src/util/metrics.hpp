@@ -12,8 +12,11 @@
 // metrics::set_enabled(true); the perf_* binaries enable it
 // programmatically so BENCH_*.json always carries the per-stage snapshot.
 // When disabled, every LONGTAIL_METRIC_* macro is one branch on a cached
-// bool: no registry lookup, no clock read, no shard write, and pipeline
-// output stays bit-identical.
+// bool: no registry lookup, no shard write, and pipeline output stays
+// bit-identical.
+//
+// Stage timing histograms are written by trace spans: span X records its
+// wall time into the histogram X_ms (see trace.hpp).
 //
 // Registered metric objects are never destroyed or moved (the registry
 // hands out stable references that instrumentation caches in function-
@@ -23,7 +26,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -121,19 +123,6 @@ std::string snapshot_json();
 // Zeroes every registered metric in place (references stay valid).
 void reset_for_testing();
 
-// RAII timer recording its scope's wall time into a histogram.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& h) noexcept;
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  std::uint64_t start_ns_;
-};
-
 }  // namespace longtail::util::metrics
 
 #define LONGTAIL_METRICS_CONCAT2(a, b) a##b
@@ -163,28 +152,3 @@ class ScopedTimer {
           .set(static_cast<double>(v));                                  \
     }                                                                    \
   } while (0)
-
-// Records v (milliseconds) into the named histogram.
-#define LONGTAIL_METRIC_RECORD_MS(name, v)                               \
-  do {                                                                   \
-    if (::longtail::util::metrics::enabled()) {                          \
-      static ::longtail::util::metrics::Histogram&                      \
-          LONGTAIL_METRICS_CONCAT(longtail_metric_hist_, __LINE__) =    \
-              ::longtail::util::metrics::histogram(name);                \
-      LONGTAIL_METRICS_CONCAT(longtail_metric_hist_, __LINE__)          \
-          .record_ms(static_cast<double>(v));                            \
-    }                                                                    \
-  } while (0)
-
-// Times the rest of the enclosing scope into the named histogram.
-#define LONGTAIL_METRIC_TIMER(name)                                          \
-  std::optional<::longtail::util::metrics::ScopedTimer> LONGTAIL_METRICS_CONCAT( \
-      longtail_metric_timer_, __LINE__);                                     \
-  if (::longtail::util::metrics::enabled()) {                                \
-    static ::longtail::util::metrics::Histogram& LONGTAIL_METRICS_CONCAT(   \
-        longtail_metric_timer_hist_, __LINE__) =                             \
-        ::longtail::util::metrics::histogram(name);                          \
-    LONGTAIL_METRICS_CONCAT(longtail_metric_timer_, __LINE__)               \
-        .emplace(LONGTAIL_METRICS_CONCAT(longtail_metric_timer_hist_,       \
-                                         __LINE__));                         \
-  }

@@ -24,12 +24,6 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
-// Worker busy accounting. Plain relaxed atomics: totals are summed across
-// all workers, and readers only ever see a consistent "so far" value.
-std::atomic<std::uint64_t> g_pool_tasks{0};
-std::atomic<std::uint64_t> g_pool_busy_ns{0};
-std::atomic<std::uint64_t> g_pool_tasks_published{0};
-
 std::uint64_t clock_ns(clockid_t id) noexcept {
   struct timespec ts{};
   if (::clock_gettime(id, &ts) != 0) return 0;
@@ -120,24 +114,6 @@ ResourceSample sample_resources() noexcept {
   s.voluntary_ctx = static_cast<std::uint64_t>(ru.ru_nvcsw);
   s.involuntary_ctx = static_cast<std::uint64_t>(ru.ru_nivcsw);
   return s;
-}
-
-void note_worker_task(std::uint64_t busy_ns) noexcept {
-  g_pool_tasks.fetch_add(1, std::memory_order_relaxed);
-  g_pool_busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
-}
-
-PoolAccounting pool_accounting() noexcept {
-  PoolAccounting acc;
-  acc.tasks = g_pool_tasks.load(std::memory_order_relaxed);
-  acc.busy_ns = g_pool_busy_ns.load(std::memory_order_relaxed);
-  return acc;
-}
-
-void reset_pool_accounting_for_testing() noexcept {
-  g_pool_tasks.store(0, std::memory_order_relaxed);
-  g_pool_busy_ns.store(0, std::memory_order_relaxed);
-  g_pool_tasks_published.store(0, std::memory_order_relaxed);
 }
 
 // ---- Sampler --------------------------------------------------------------
@@ -238,15 +214,6 @@ void publish_metrics() {
   metrics::gauge("profile.peak_rss_mb").set(peak_rss_mb());
   metrics::gauge("profile.cpu_ms")
       .set(static_cast<double>(process_cpu_ns()) / 1e6);
-  const auto acc = pool_accounting();
-  metrics::gauge("profile.pool.busy_ms")
-      .set(static_cast<double>(acc.busy_ns) / 1e6);
-  // Counter semantics are monotone: publish only the delta since the last
-  // publish so repeated calls stay correct.
-  const std::uint64_t published =
-      g_pool_tasks_published.exchange(acc.tasks, std::memory_order_relaxed);
-  if (acc.tasks > published)
-    metrics::counter("profile.pool.tasks").add(acc.tasks - published);
   if (Sampler* s = g_active_sampler.load(std::memory_order_relaxed)) {
     metrics::gauge("profile.sampler.samples")
         .set(static_cast<double>(s->samples()));

@@ -14,10 +14,11 @@
 //     emits the series as Chrome trace counter events ("ph":"C") when
 //     the sampler stops — never concurrently with a trace flush.
 //   * Per-worker busy accounting: ThreadPool wraps each submitted task
-//     in a timer (and, when tracing, a "pool.task" span) so the total
-//     worker-busy time per phase is measurable and the offline analyzer
-//     (tools/trace_report) can compute parallel efficiency
-//     Σ busy / (wall × threads).
+//     in a "pool.task" span, which records the task's wall time into the
+//     profile.pool.task_ms histogram (its count and sum_ms are the tasks
+//     run and the total worker-busy time) and, when tracing, into the
+//     trace, where the offline analyzer (tools/trace_report) computes
+//     parallel efficiency Σ busy / (wall × threads).
 //
 // Profiling reads clocks and /proc only; it never touches RNG state,
 // iteration order, or stdout, so pipeline output is byte-identical with
@@ -62,18 +63,6 @@ struct ResourceSample {
 };
 ResourceSample sample_resources() noexcept;
 
-// ---- per-worker busy accounting (fed by ThreadPool) ----------------------
-
-// Called by ThreadPool around each executed task when profiling is on.
-void note_worker_task(std::uint64_t busy_ns) noexcept;
-
-struct PoolAccounting {
-  std::uint64_t tasks = 0;    // tasks executed by pool workers
-  std::uint64_t busy_ns = 0;  // total wall time those tasks ran
-};
-PoolAccounting pool_accounting() noexcept;
-void reset_pool_accounting_for_testing() noexcept;
-
 // ---- background resource sampler -----------------------------------------
 
 // Samples resources every `interval_ms` on a dedicated thread. Samples
@@ -103,9 +92,9 @@ class Sampler {
 
 // Writes the profile summary into the metrics registry (no-op when
 // metrics are disabled): gauges profile.peak_rss_mb, profile.cpu_ms,
-// profile.pool.busy_ms, profile.sampler.samples, profile.sampler.max_rss_mb
-// and counter profile.pool.tasks. The perf binaries call this right
-// before taking the metrics snapshot for BENCH_*.json.
+// profile.sampler.samples and profile.sampler.max_rss_mb. The perf
+// binaries call this right before taking the metrics snapshot for
+// BENCH_*.json.
 void publish_metrics();
 
 }  // namespace longtail::util::profile

@@ -1,11 +1,9 @@
 #include "util/thread_pool.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 
-#include "util/metrics.hpp"
 #include "util/profile.hpp"
 #include "util/trace.hpp"
 
@@ -41,11 +39,11 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   // Carry the submitting thread's open trace span across to the worker so
   // spans recorded inside the task nest below it (no-op when tracing is
-  // off; tasks themselves are unchanged). With profiling on, each task is
-  // additionally timed into the per-worker busy accounting — and, when
-  // tracing too, wrapped in a "pool.task" span nested under the
-  // submitting span, which is what trace_report sums to compute per-phase
-  // parallel efficiency.
+  // off; tasks themselves are unchanged). With profiling on, each task
+  // runs inside a "pool.task" span: it records the task's wall time into
+  // profile.pool.task_ms when metrics are on and, when tracing, nests
+  // under the submitting span, which is what trace_report sums to compute
+  // per-phase parallel efficiency.
   const bool traced = trace::enabled();
   const bool profiled = profile::enabled();
   if (traced || profiled) {
@@ -57,19 +55,9 @@ void ThreadPool::submit(std::function<void()> task) {
         inner();
         return;
       }
-      const auto t0 = std::chrono::steady_clock::now();
-      {
-        std::optional<trace::Span> span;
-        if (traced) span.emplace("pool.task");
-        inner();
-      }
-      const auto busy_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      profile::note_worker_task(busy_ns);
-      LONGTAIL_METRIC_RECORD_MS("profile.pool.task_ms",
-                                static_cast<double>(busy_ns) / 1e6);
+      trace::Span span("pool.task",
+                       LONGTAIL_TRACE_HISTOGRAM("profile.pool.task"));
+      inner();
     };
   }
   {

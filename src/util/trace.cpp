@@ -116,18 +116,21 @@ ParentScope::ParentScope(std::uint64_t parent) noexcept
 ParentScope::~ParentScope() { t_current_span = saved_; }
 
 void Span::begin(const char* name) {
-  armed_ = true;
   name_ = name;
-  id_ = g_next_id.fetch_add(1, std::memory_order_relaxed);
-  parent_ = t_current_span;
-  t_current_span = id_;
-  if (profile::enabled())
-    cpu_start_ns_ = static_cast<std::int64_t>(profile::thread_cpu_ns());
+  if (traced_) {
+    id_ = g_next_id.fetch_add(1, std::memory_order_relaxed);
+    parent_ = t_current_span;
+    t_current_span = id_;
+    if (profile::enabled())
+      cpu_start_ns_ = static_cast<std::int64_t>(profile::thread_cpu_ns());
+  }
   start_ns_ = now_ns();
 }
 
 void Span::end() {
   const std::uint64_t dur = now_ns() - start_ns_;
+  if (hist_ != nullptr) hist_->record_ms(static_cast<double>(dur) / 1e6);
+  if (!traced_) return;
   t_current_span = parent_;
   Event e;
   e.name = name_;

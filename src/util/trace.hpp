@@ -1,4 +1,6 @@
-// RAII span tracer with Chrome trace-event JSON export.
+// RAII span tracer with Chrome trace-event JSON export. The span is also
+// the one timing instrument of the metrics layer: span X records its wall
+// time into the histogram X_ms.
 //
 // Setting LONGTAIL_TRACE=<path> enables tracing; every
 // LONGTAIL_TRACE_SPAN("stage.name") then records a complete ("ph":"X")
@@ -8,10 +10,16 @@
 // trace-event JSON, loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing.
 //
-// When LONGTAIL_TRACE is unset, every macro reduces to one branch on a
-// cached bool: no clock reads, no allocation, no locking, and — because
-// instrumentation never touches RNG or data state — bit-identical pipeline
-// output.
+// With metrics enabled (LONGTAIL_METRICS, see metrics.hpp), the same
+// macro records the span's wall time into the histogram "stage.name_ms",
+// whether or not tracing is on. A span reads the clock once at open and
+// once at close, and that one duration feeds both the trace event and the
+// histogram sample.
+//
+// When tracing and metrics are both off, every macro reduces to two
+// branches on cached bools: no clock reads, no allocation, no locking,
+// and — because instrumentation never touches RNG or data state —
+// bit-identical pipeline output.
 //
 // Span nesting is tracked per thread with an implicit stack. ThreadPool
 // tasks inherit the submitting thread's open span as their parent (see
@@ -28,6 +36,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/metrics.hpp"
 
 namespace longtail::util::trace {
 
@@ -75,19 +85,22 @@ struct Event {
 };
 
 // RAII span. `name` must outlive the span (string literals in practice).
+// A non-null `hist` receives the span's wall time at close, whether or
+// not tracing is on.
 class Span {
  public:
-  explicit Span(const char* name) {
-    if (enabled()) begin(name);
+  explicit Span(const char* name, metrics::Histogram* hist = nullptr)
+      : traced_(enabled()), hist_(hist) {
+    if (traced_ || hist_ != nullptr) begin(name);
   }
-  Span(const char* name, std::string detail) {
-    if (enabled()) {
-      begin(name);
-      detail_ = std::move(detail);
-    }
+  Span(const char* name, std::string detail,
+       metrics::Histogram* hist = nullptr)
+      : traced_(enabled()), hist_(hist) {
+    if (traced_) detail_ = std::move(detail);
+    if (traced_ || hist_ != nullptr) begin(name);
   }
   ~Span() {
-    if (armed_) end();
+    if (traced_ || hist_ != nullptr) end();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -96,7 +109,8 @@ class Span {
   void begin(const char* name);
   void end();
 
-  bool armed_ = false;
+  const bool traced_;  // tracing was on at open: the span is recorded
+  metrics::Histogram* const hist_;
   const char* name_ = nullptr;
   std::string detail_;
   std::uint64_t id_ = 0;
@@ -136,13 +150,29 @@ void reset_for_testing();
 #define LONGTAIL_TRACE_CONCAT2(a, b) a##b
 #define LONGTAIL_TRACE_CONCAT(a, b) LONGTAIL_TRACE_CONCAT2(a, b)
 
-// Opens a span for the rest of the enclosing scope.
-#define LONGTAIL_TRACE_SPAN(name)                        \
-  ::longtail::util::trace::Span LONGTAIL_TRACE_CONCAT(   \
-      longtail_trace_span_, __LINE__)(name)
+// The histogram a span site records into: `name "_ms"`, looked up once
+// per site and only while metrics are enabled (nullptr otherwise). `name`
+// must be a string literal.
+#define LONGTAIL_TRACE_HISTOGRAM(name)                             \
+  (::longtail::util::metrics::enabled()                            \
+       ? []() -> ::longtail::util::metrics::Histogram* {           \
+           static ::longtail::util::metrics::Histogram& hist =     \
+               ::longtail::util::metrics::histogram(name "_ms");   \
+           return &hist;                                           \
+         }()                                                       \
+       : nullptr)
 
-// Span with a free-form detail string (only evaluated when enabled).
-#define LONGTAIL_TRACE_SPAN_DETAIL(name, detail)                      \
-  ::longtail::util::trace::Span LONGTAIL_TRACE_CONCAT(                \
-      longtail_trace_span_, __LINE__)(                                \
-      name, ::longtail::util::trace::enabled() ? (detail) : std::string())
+// Opens a span for the rest of the enclosing scope; it records into the
+// trace and into the histogram `name "_ms"`.
+#define LONGTAIL_TRACE_SPAN(name)                      \
+  ::longtail::util::trace::Span LONGTAIL_TRACE_CONCAT( \
+      longtail_trace_span_, __LINE__)(name, LONGTAIL_TRACE_HISTOGRAM(name))
+
+// Span with a free-form detail string (only evaluated when tracing). The
+// detail does not change the histogram: every span of one name records
+// into the same `name "_ms"`.
+#define LONGTAIL_TRACE_SPAN_DETAIL(name, detail)                          \
+  ::longtail::util::trace::Span LONGTAIL_TRACE_CONCAT(                    \
+      longtail_trace_span_, __LINE__)(                                    \
+      name, ::longtail::util::trace::enabled() ? (detail) : std::string(), \
+      LONGTAIL_TRACE_HISTOGRAM(name))

@@ -274,13 +274,12 @@ TEST_F(ScenarioDeterminism, ZeroSpecIsAStrictNoOp) {
 // reduce prevalence-cap drops, and (c) leave fewer saturated files — the
 // cap stops firing although the malware distribution never shrank.
 TEST(ScenarioChurn, DefeatsSigmaCapWhileConservingRawVolume) {
-  auto base_profile = synth::paper_calibration(0.02);
-  const auto base = synth::generate_dataset(base_profile);
+  const core::LongtailPipeline base(synth::paper_calibration(0.02));
   const auto base_sigma = bench::measure_sigma_cap(base);
 
   auto churn_profile = synth::paper_calibration(0.02);
   churn_profile.scenario = synth::parse_scenario_profile("churn=1,cohort=4");
-  const auto churned = synth::generate_dataset(churn_profile);
+  const core::LongtailPipeline churned(churn_profile);
   const auto churn_sigma = bench::measure_sigma_cap(churned);
 
   // (a) raw volume exactly conserved: every prevalence slot still emits

@@ -60,11 +60,12 @@ TEST(CorpusIndex, ReachKeepsSortedMachinesAndBrowserFlag) {
 }
 
 TEST(CorpusIndex, FirstLastSeen) {
+  // First-seen is a file's earliest event; its later events (file 0's
+  // March download, file 1's February one) do not move it.
   const Corpus c = tiny_corpus();
   const CorpusIndex idx(c);
   EXPECT_EQ(idx.first_seen(FileId{0}), 100);
-  EXPECT_EQ(idx.last_seen(FileId{0}),
-            model::month_begin(Month::kMarch) + 10);
+  EXPECT_EQ(idx.first_seen(FileId{1}), 200);
 }
 
 TEST(CorpusIndex, ObservedFilesExcludesUnseen) {

@@ -1,6 +1,7 @@
 // Tests for the metrics registry: shard-combine determinism across
-// thread counts, snapshot JSON shape, macro gating, and a concurrent
-// counter stress test meant to run under TSan.
+// thread counts, snapshot JSON shape, macro gating, the span-fed stage
+// histograms, and a concurrent counter stress test meant to run under
+// TSan.
 #include "util/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 namespace longtail::util {
 namespace {
@@ -153,12 +155,22 @@ TEST_F(MetricsTest, MacrosAreGatedOnEnabled) {
   EXPECT_EQ(metrics::counter("test.gated").value(), 2u);
 }
 
-TEST_F(MetricsTest, ScopedTimerRecordsOneSample) {
-  auto& h = metrics::histogram("test.timer");
-  {
-    metrics::ScopedTimer timer(h);
-  }
-  EXPECT_EQ(h.count(), 1u);
+// Metrics on, tracing off: a span scope is one sample in `<name>_ms`
+// and no trace event.
+TEST_F(MetricsTest, SpanRecordsOneSampleWithoutTracing) {
+  trace::set_enabled(false);
+  trace::reset_for_testing();
+  { LONGTAIL_TRACE_SPAN("test.span"); }
+  EXPECT_EQ(metrics::histogram("test.span_ms").count(), 1u);
+  EXPECT_TRUE(trace::snapshot_for_testing().empty());
+}
+
+// A detail does not split the histogram: every span of one name records
+// into the same `<name>_ms`.
+TEST_F(MetricsTest, DetailSpanSharesThePlainSpansHistogram) {
+  { LONGTAIL_TRACE_SPAN("test.shared"); }
+  { LONGTAIL_TRACE_SPAN_DETAIL("test.shared", std::string("label")); }
+  EXPECT_EQ(metrics::histogram("test.shared_ms").count(), 2u);
 }
 
 // Concurrent stress: many threads hammering the same counter and

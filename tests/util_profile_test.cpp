@@ -1,5 +1,5 @@
 // Tests for the profiling layer: gating, CPU clocks, span CPU
-// attribution, pool busy accounting, the resource sampler, and the
+// attribution, the pool task spans, the resource sampler, and the
 // metrics publication.
 #include "util/profile.hpp"
 
@@ -26,11 +26,10 @@ class ProfileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     profile::set_enabled(false);
-    profile::reset_pool_accounting_for_testing();
+    metrics::reset_for_testing();
   }
   void TearDown() override {
     profile::set_enabled(false);
-    profile::reset_pool_accounting_for_testing();
     trace::reset_for_testing();
     trace::set_enabled(false);
     metrics::set_enabled(false);
@@ -82,23 +81,26 @@ TEST_F(ProfileTest, SpanCarriesCpuTimeOnlyWhenProfiled) {
   EXPECT_NE(json.find("\"cpu_ms\": "), std::string::npos);
 }
 
-TEST_F(ProfileTest, PoolAccountingCountsTasksOnlyWhenProfiled) {
+TEST_F(ProfileTest, PoolTaskSpansFeedTheTaskHistogramOnlyWhenProfiled) {
   // Rebuilding the pool is the only reliable barrier: the destructor
   // drains the queue before joining, so every submitted task — wrapper
   // included — has fully completed afterwards.
+  constexpr std::size_t kTasks = 16;
+  metrics::set_enabled(true);
+  const auto& tasks = metrics::histogram("profile.pool.task_ms");
   set_global_threads(4);
-  parallel_for(256, [](std::size_t) {});
+  for (std::size_t i = 0; i < kTasks; ++i) global_pool().submit([] {});
   set_global_threads(4);  // drain
-  EXPECT_EQ(profile::pool_accounting().tasks, 0u)
-      << "accounting must stay off without LONGTAIL_PROFILE";
+  EXPECT_EQ(tasks.count(), 0u)
+      << "pool tasks are timed only under LONGTAIL_PROFILE";
 
   profile::set_enabled(true);
-  global_pool().submit(
-      [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); });
+  for (std::size_t i = 0; i < kTasks; ++i)
+    global_pool().submit(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(1)); });
   set_global_threads(4);  // drain
-  const auto acc = profile::pool_accounting();
-  EXPECT_EQ(acc.tasks, 1u);
-  EXPECT_GT(acc.busy_ns, 0u);
+  EXPECT_EQ(tasks.count(), kTasks);
+  EXPECT_GT(tasks.sum_ms(), 0.0);
 }
 
 TEST_F(ProfileTest, SamplerCollectsAndEmitsCounterSeries) {
@@ -142,15 +144,7 @@ TEST_F(ProfileTest, PublishMetricsWritesProfileKeys) {
   const std::string snap = metrics::snapshot_json();
   EXPECT_NE(snap.find("\"profile.peak_rss_mb\""), std::string::npos);
   EXPECT_NE(snap.find("\"profile.cpu_ms\""), std::string::npos);
-  EXPECT_NE(snap.find("\"profile.pool.busy_ms\""), std::string::npos);
-  EXPECT_NE(snap.find("\"profile.pool.tasks\""), std::string::npos);
   EXPECT_NE(snap.find("\"profile.sampler.samples\""), std::string::npos);
-
-  // Counter publication is delta-based: a second publish with no new
-  // tasks must not double the counter.
-  const auto tasks_before = metrics::counter("profile.pool.tasks").value();
-  profile::publish_metrics();
-  EXPECT_EQ(metrics::counter("profile.pool.tasks").value(), tasks_before);
 }
 
 TEST_F(ProfileTest, PublishMetricsIsNoOpWhenMetricsDisabled) {

@@ -1,5 +1,6 @@
 // Tests for the span tracer: nesting/parenting across parallel_for
-// workers, event ordering, and Chrome trace-event JSON well-formedness.
+// workers, event ordering, the span's histogram sample, and Chrome
+// trace-event JSON well-formedness.
 #include "util/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace longtail::util {
@@ -27,6 +29,8 @@ class TraceTest : public ::testing::Test {
   void TearDown() override {
     trace::reset_for_testing();
     trace::set_enabled(false);
+    metrics::set_enabled(false);
+    metrics::reset_for_testing();
     set_global_threads(ThreadPool::default_threads());
   }
 };
@@ -116,11 +120,28 @@ TEST_F(TraceTest, SnapshotOrderedByStartTime) {
   }
 }
 
+// Tracing and metrics both on: one span scope is one event and one
+// histogram sample, and both carry the same duration.
+TEST_F(TraceTest, SpanFeedsTraceAndHistogramFromOneDuration) {
+  metrics::set_enabled(true);
+  auto& hist = metrics::histogram("unit.timed_ms");
+  { LONGTAIL_TRACE_SPAN("unit.timed"); }
+  const auto events = trace::snapshot_for_testing();
+  ASSERT_EQ(events.size(), 1u);
+  ASSERT_EQ(hist.count(), 1u);
+  const double event_ms = static_cast<double>(events[0].dur_ns) / 1e6;
+  EXPECT_NEAR(hist.sum_ms(), event_ms, 1e-3);
+}
+
+// Tracing and metrics both off: a span records neither an event nor a
+// histogram sample.
 TEST_F(TraceTest, DisabledMacroRecordsNothing) {
   trace::set_enabled(false);
+  metrics::set_enabled(false);
   { LONGTAIL_TRACE_SPAN("unit.ghost"); }
   trace::instant("unit.ghost_instant");
   EXPECT_TRUE(trace::snapshot_for_testing().empty());
+  EXPECT_EQ(metrics::histogram("unit.ghost_ms").count(), 0u);
 }
 
 TEST_F(TraceTest, RenderedTraceJsonIsWellFormed) {
