@@ -4,7 +4,7 @@
 // (LONGTAIL_CORPUS_CACHE) stores: reloading a saved dataset reproduces the
 // pipeline's outputs byte-for-byte without paying for regeneration.
 //
-// The file is the version-3 sectioned LTDS layout of telemetry/mapped.hpp
+// The file is the version-3 sectioned LTDS layout of telemetry/ltds.hpp
 // (docs/corpus-format.md): the 17 corpus sections followed by PROFILE /
 // TRUTH / WHITELIST / VT_FILES / VT_PROCESSES / STATS, each with its own
 // checksum, closed by the section table. The calibration profile is not
@@ -16,12 +16,12 @@
 #include <string>
 
 #include "synth/generator.hpp"
-#include "telemetry/mapped.hpp"
+#include "telemetry/ltds.hpp"
 
 namespace longtail::synth {
 
 inline constexpr std::uint32_t kDatasetBinaryMagic = 0x5344544CU;  // "LTDS"
-// 3: sectioned (telemetry/mapped.hpp); the only version read
+// 3: sectioned (telemetry/ltds.hpp); the only version read
 inline constexpr std::uint32_t kDatasetBinaryVersion = 3;
 inline constexpr std::uint32_t kDatasetSectionCount =
     telemetry::kCorpusSectionCount + 6;

@@ -3,7 +3,7 @@
 // The event table is the hot data of the whole reproduction: every
 // measurement module scans it front to back. Storing each field in its own
 // contiguous column keeps those scans cache- and SIMD-friendly and lets the
-// binary dataset format (telemetry/mapped.hpp) write whole columns with one
+// binary dataset format (telemetry/ltds.hpp) write whole columns with one
 // bulk copy. `EventRef` is a zero-cost proxy that reads one row; it
 // converts implicitly to `model::DownloadEvent`, which stays the
 // interchange struct for code that wants a materialized event. The store
