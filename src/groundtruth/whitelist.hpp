@@ -24,13 +24,6 @@ class Whitelist {
     return processes_.contains(p);
   }
 
-  [[nodiscard]] std::size_t file_count() const noexcept {
-    return files_.size();
-  }
-  [[nodiscard]] std::size_t process_count() const noexcept {
-    return processes_.size();
-  }
-
   // Enumeration for serialization (synth/dataset_io). Iterates in
   // insertion order — sort before writing anything order-sensitive.
   [[nodiscard]] const util::FlatSet<model::FileId>& files() const noexcept {

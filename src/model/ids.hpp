@@ -41,7 +41,6 @@ struct DomainTag {};
 struct SignerTag {};
 struct CaTag {};
 struct PackerTag {};
-struct FamilyTag {};
 
 using FileId = Id<FileTag>;
 using MachineId = Id<MachineTag>;
@@ -51,7 +50,6 @@ using DomainId = Id<DomainTag>;
 using SignerId = Id<SignerTag>;
 using CaId = Id<CaTag>;
 using PackerId = Id<PackerTag>;
-using FamilyId = Id<FamilyTag>;
 
 }  // namespace longtail::model
 

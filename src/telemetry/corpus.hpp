@@ -43,14 +43,10 @@ struct Corpus {
   // [0, machine_count)).
   std::uint32_t machine_count = 0;
 
-  [[nodiscard]] std::size_t num_events() const noexcept {
-    return events.size();
-  }
   [[nodiscard]] std::size_t num_files() const noexcept { return files.size(); }
   [[nodiscard]] std::size_t num_processes() const noexcept {
     return processes.size();
   }
-  [[nodiscard]] std::size_t num_urls() const noexcept { return urls.size(); }
   [[nodiscard]] std::size_t num_domains() const noexcept {
     return domains.size();
   }

@@ -1,7 +1,5 @@
 #include "util/csv.hpp"
 
-#include <sstream>
-
 namespace longtail::util {
 
 DelimitedWriter::DelimitedWriter(const std::string& path, char delimiter)
@@ -27,55 +25,6 @@ void DelimitedWriter::write_row(const std::vector<std::string>& cells) {
     out_ << escape(cells[i]);
   }
   out_.put('\n');
-}
-
-DelimitedReader::DelimitedReader(const std::string& path, char delimiter)
-    : in_(path), delimiter_(delimiter) {}
-
-bool DelimitedReader::read_row(std::vector<std::string>& cells) {
-  cells.clear();
-  std::string line;
-  if (!std::getline(in_, line)) return false;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-
-  if (delimiter_ == '\t') {
-    std::size_t start = 0;
-    while (true) {
-      const auto pos = line.find('\t', start);
-      cells.push_back(line.substr(start, pos - start));
-      if (pos == std::string::npos) break;
-      start = pos + 1;
-    }
-    return true;
-  }
-
-  // CSV with quote handling.
-  std::string cell;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cell.push_back(c);
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == delimiter_) {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else {
-      cell.push_back(c);
-    }
-  }
-  cells.push_back(std::move(cell));
-  return true;
 }
 
 }  // namespace longtail::util

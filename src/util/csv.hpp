@@ -1,7 +1,7 @@
-// Minimal delimited-text writing/reading used by the corpus exporter and
-// the figure dumps. Handles quoting for the CSV dialect; the TSV dialect
-// rejects embedded tabs/newlines instead (entity names never contain
-// them).
+// Minimal delimited-text writing used by the corpus exporter and the
+// figure dumps. The CSV dialect quotes a cell that holds a comma, a quote
+// or a line break; the TSV dialect writes every cell as it is, since the
+// generated entity names it carries contain no tab or newline.
 #pragma once
 
 #include <fstream>
@@ -37,22 +37,6 @@ class DelimitedWriter {
   [[nodiscard]] std::string escape(const std::string& cell) const;
 
   std::ofstream out_;
-  char delimiter_;
-};
-
-// Reads a delimited file line by line. No embedded-newline support (the
-// exporter never produces it).
-class DelimitedReader {
- public:
-  DelimitedReader(const std::string& path, char delimiter);
-
-  [[nodiscard]] bool ok() const { return static_cast<bool>(in_); }
-
-  // Returns false at end of file.
-  bool read_row(std::vector<std::string>& cells);
-
- private:
-  std::ifstream in_;
   char delimiter_;
 };
 

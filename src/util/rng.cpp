@@ -6,35 +6,12 @@
 
 namespace longtail::util {
 
-std::size_t Rng::weighted_index(std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0) return 0;
-  double r = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 double Rng::normal(double mu, double sigma) noexcept {
   double u1 = uniform01();
   if (u1 <= 0.0) u1 = 0x1.0p-53;
   const double u2 = uniform01();
   const double mag = std::sqrt(-2.0 * std::log(u1));
   return mu + sigma * mag * std::cos(2.0 * std::numbers::pi * u2);
-}
-
-std::uint32_t Rng::burst_size(double mean) noexcept {
-  if (mean <= 1.0) return 1;
-  // Geometric with success probability 1/mean, shifted to start at 1.
-  const double p = 1.0 / mean;
-  double u = uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;
-  const double g = std::floor(std::log(u) / std::log(1.0 - p));
-  const double bounded = std::min(g, 1e6);
-  return 1 + static_cast<std::uint32_t>(bounded);
 }
 
 DiscreteSampler::DiscreteSampler(std::span<const double> weights) {

@@ -69,16 +69,7 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed) noexcept : gen_(seed) {}
 
-  // Derive an independent child stream; `stream_id` distinguishes children.
-  [[nodiscard]] Rng fork(std::uint64_t stream_id) const noexcept {
-    std::uint64_t s = seed_mix_ ^ (0xA24BAED4963EE407ULL * (stream_id + 1));
-    return Rng(s, /*tag=*/0);
-  }
-
-  std::uint64_t next_u64() noexcept {
-    seed_mix_ = gen_();
-    return seed_mix_;
-  }
+  std::uint64_t next_u64() noexcept { return gen_(); }
 
   // Uniform in [0, bound). bound must be > 0. Uses Lemire's multiply-shift
   // rejection method for unbiased results.
@@ -109,10 +100,6 @@ class Rng {
 
   bool bernoulli(double p) noexcept { return uniform01() < p; }
 
-  // Sample an index from an unnormalized non-negative weight vector.
-  // O(n); for hot paths use DiscreteSampler below.
-  std::size_t weighted_index(std::span<const double> weights) noexcept;
-
   // Exponential with given mean (> 0).
   double exponential(double mean) noexcept {
     double u = uniform01();
@@ -124,9 +111,6 @@ class Rng {
   // Standard normal via Box–Muller (no cached spare: keeps state simple).
   double normal(double mu, double sigma) noexcept;
 
-  // Geometric-ish "burst" size >= 1 with mean approximately `mean`.
-  std::uint32_t burst_size(double mean) noexcept;
-
   // Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {
@@ -136,12 +120,8 @@ class Rng {
     }
   }
 
-  Xoshiro256ss& engine() noexcept { return gen_; }
-
  private:
-  Rng(std::uint64_t seed, int /*tag*/) noexcept : gen_(seed) {}
   Xoshiro256ss gen_;
-  std::uint64_t seed_mix_ = 0;
 };
 
 // Independent per-item RNG substream: a generator that is a pure

@@ -65,12 +65,4 @@ std::uint64_t ZipfSampler::sample(Rng& rng) const noexcept {
   }
 }
 
-double ZipfSampler::approx_cdf(std::uint64_t k) const noexcept {
-  if (k >= n_) return 1.0;
-  // h_integral_x1_ already carries the -1 shift for the mass at k = 1.
-  const double num = h_integral(static_cast<double>(k) + 0.5) - h_integral_x1_;
-  const double den = h_integral_n_ - h_integral_x1_;
-  return num / den;
-}
-
 }  // namespace longtail::util

@@ -21,14 +21,6 @@ class ZipfSampler {
 
   std::uint64_t sample(Rng& rng) const noexcept;
 
-  [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
-  [[nodiscard]] double s() const noexcept { return s_; }
-
-  // Exact probability of rank k (normalized); O(n) the first time the
-  // normalization constant is needed is avoided by using the H-integral
-  // approximation, so this is approximate for analytics/tests.
-  [[nodiscard]] double approx_cdf(std::uint64_t k) const noexcept;
-
  private:
   [[nodiscard]] double h_integral(double x) const noexcept;
   [[nodiscard]] double h_integral_inverse(double x) const noexcept;

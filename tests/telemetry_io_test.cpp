@@ -1,83 +1,127 @@
+// Golden test of the TSV export: a hand-built corpus small enough to spell
+// out every byte of every file export_corpus writes (the format table in
+// telemetry/io.hpp).
 #include "telemetry/io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 
-#include "synth/generator.hpp"
-#include "telemetry/index.hpp"
 #include "tests/temp_dir.hpp"
 
 namespace longtail::telemetry {
 namespace {
 
-TEST(CorpusIo, RoundTripsGeneratedCorpus) {
-  const auto ds = synth::generate_dataset(0.01);
-  const test::TempDir tmp;
-  const auto dir = tmp.file("corpus");
-  export_corpus(ds.corpus, dir);
-  const Corpus loaded = import_corpus(dir);
+// Two files (one signed and packed, one neither), one named process, two
+// URLs on one domain and three events.
+Corpus golden_corpus() {
+  Corpus c;
+  c.machine_count = 3;
+  c.domain_names.intern("softonic.com");
+  c.signer_names.intern("Somoto Ltd.");
+  c.signer_names.intern("Softonic International");
+  c.ca_names.intern("VeriSign Class 3");
+  c.packer_names.intern("UPX");
+  c.packer_names.intern("NSIS");
+  c.family_names.intern("firseria");
+  c.process_names.intern("chrome.exe");
 
-  ASSERT_EQ(loaded.events.size(), ds.corpus.events.size());
-  ASSERT_EQ(loaded.files.size(), ds.corpus.files.size());
-  ASSERT_EQ(loaded.processes.size(), ds.corpus.processes.size());
-  ASSERT_EQ(loaded.urls.size(), ds.corpus.urls.size());
-  ASSERT_EQ(loaded.domains.size(), ds.corpus.domains.size());
-  EXPECT_EQ(loaded.machine_count, ds.corpus.machine_count);
+  model::DomainMeta domain;
+  domain.alexa_rank = 180;
+  domain.on_private_blacklist = true;
+  c.domains.push_back(domain);
+  c.urls.push_back({model::DomainId{0}, 180});
+  c.urls.push_back({model::DomainId{0}, 180});
 
-  for (std::size_t i = 0; i < loaded.events.size(); i += 53) {
-    EXPECT_EQ(loaded.events[i].file(), ds.corpus.events[i].file());
-    EXPECT_EQ(loaded.events[i].machine(), ds.corpus.events[i].machine());
-    EXPECT_EQ(loaded.events[i].process(), ds.corpus.events[i].process());
-    EXPECT_EQ(loaded.events[i].url(), ds.corpus.events[i].url());
-    EXPECT_EQ(loaded.events[i].time(), ds.corpus.events[i].time());
-  }
-  for (std::size_t i = 0; i < loaded.files.size(); i += 97) {
-    const auto& a = loaded.files[i];
-    const auto& b = ds.corpus.files[i];
-    EXPECT_EQ(a.sha, b.sha);
-    EXPECT_EQ(a.size, b.size);
-    EXPECT_EQ(a.is_signed, b.is_signed);
-    if (a.is_signed) {
-      EXPECT_EQ(a.signer, b.signer);
-      EXPECT_EQ(a.ca, b.ca);
-    }
+  model::FileMeta packed;
+  packed.sha = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  packed.size = 1'048'576;
+  packed.is_signed = true;
+  packed.signer = model::SignerId{1};
+  packed.ca = model::CaId{0};
+  packed.is_packed = true;
+  packed.packer = model::PackerId{1};
+  c.files.push_back(packed);
+  model::FileMeta plain;
+  plain.sha = {0xffULL, 0xabcdULL};
+  plain.size = 4'096;
+  c.files.push_back(plain);
 
-    EXPECT_EQ(a.is_packed, b.is_packed);
-    if (a.is_packed) {
-      EXPECT_EQ(a.packer, b.packer);
-    }
-  }
-  for (std::size_t i = 0; i < loaded.processes.size(); i += 31) {
-    EXPECT_EQ(loaded.processes[i].category, ds.corpus.processes[i].category);
-    EXPECT_EQ(loaded.processes[i].browser, ds.corpus.processes[i].browser);
-  }
-  for (std::size_t i = 0; i < loaded.domains.size(); i += 13) {
-    EXPECT_EQ(loaded.domains[i].alexa_rank, ds.corpus.domains[i].alexa_rank);
-    EXPECT_EQ(loaded.domains[i].on_gsb, ds.corpus.domains[i].on_gsb);
-  }
-  // Name pools survive with identical ids.
-  EXPECT_EQ(loaded.signer_names.size(), ds.corpus.signer_names.size());
-  for (std::uint32_t id = 0; id < loaded.signer_names.size(); id += 19)
-    EXPECT_EQ(loaded.signer_names.at(id), ds.corpus.signer_names.at(id));
-  EXPECT_EQ(loaded.domain_names.size(), ds.corpus.domain_names.size());
+  model::ProcessMeta chrome;
+  chrome.sha = {0x1111222233334444ULL, 0x5555666677778888ULL};
+  chrome.name = 0;
+  chrome.category = model::ProcessCategory::kBrowser;
+  chrome.browser = model::BrowserKind::kChrome;
+  chrome.is_signed = true;
+  chrome.signer = model::SignerId{0};
+  chrome.ca = model::CaId{0};
+  c.processes.push_back(chrome);
+
+  const auto event = [](std::uint32_t file, std::uint32_t machine,
+                        std::uint32_t url, model::Timestamp time) {
+    return model::DownloadEvent{model::FileId{file}, model::MachineId{machine},
+                                model::ProcessId{0}, model::UrlId{url}, time};
+  };
+  c.events.push_back(event(0, 0, 0, 1'420'070'400));
+  c.events.push_back(event(1, 1, 1, 1'420'156'800));
+  c.events.push_back(event(0, 2, 1, 1'422'748'800));
+  return c;
 }
 
-TEST(CorpusIo, ImportMissingDirectoryThrows) {
-  EXPECT_THROW(import_corpus("/nonexistent/longtail"), std::runtime_error);
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
 }
 
-TEST(CorpusIo, ImportedCorpusSupportsIndexing) {
-  const auto ds = synth::generate_dataset(0.01);
+TEST(CorpusExport, WritesEveryTableByteForByte) {
   const test::TempDir tmp;
   const auto dir = tmp.file("corpus");
-  export_corpus(ds.corpus, dir);
-  const Corpus loaded = import_corpus(dir);
-  const CorpusIndex original(ds.corpus);
-  const CorpusIndex reloaded(loaded);
-  EXPECT_EQ(original.num_active_machines(), reloaded.num_active_machines());
-  EXPECT_EQ(original.observed_files().size(),
-            reloaded.observed_files().size());
+  export_corpus(golden_corpus(), dir);
+
+  const std::map<std::string, std::string> expected = {
+      {"meta.tsv", "machine_count\n3\n"},
+      {"domain_names.tsv", "id\tname\n0\tsoftonic.com\n"},
+      {"signers.tsv", "id\tname\n0\tSomoto Ltd.\n1\tSoftonic International\n"},
+      {"cas.tsv", "id\tname\n0\tVeriSign Class 3\n"},
+      {"packers.tsv", "id\tname\n0\tUPX\n1\tNSIS\n"},
+      {"families.tsv", "id\tname\n0\tfirseria\n"},
+      {"domains.tsv",
+       "id\talexa_rank\tgsb\tblacklist\twhitelist\n"
+       "0\t180\t0\t1\t0\n"},
+      {"urls.tsv",
+       "id\tdomain\talexa_rank\n"
+       "0\t0\t180\n"
+       "1\t0\t180\n"},
+      {"files.tsv",
+       "id\tsha\tsize\tsigned\tsigner\tca\tpacked\tpacker\n"
+       "0\t0123456789abcdeffedcba9876543210\t1048576\t1\t1\t0\t1\t1\n"
+       "1\t00000000000000ff000000000000abcd\t4096\t0\t-\t-\t0\t-\n"},
+      {"process_names.tsv", "id\tname\n0\tchrome.exe\n"},
+      {"processes.tsv",
+       "id\tsha\tname\tcategory\tbrowser\tsigned\tsigner\tca\tpacked\t"
+       "packer\n"
+       "0\t11112222333344445555666677778888\t0\t0\t1\t1\t0\t0\t0\t-\n"},
+      {"events.tsv",
+       "file\tmachine\tprocess\turl\ttime\n"
+       "0\t0\t0\t0\t1420070400\n"
+       "1\t1\t0\t1\t1420156800\n"
+       "0\t2\t0\t1\t1422748800\n"},
+  };
+
+  std::map<std::string, std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    written[entry.path().filename().string()] = read_file(entry.path());
+  for (const auto& [name, bytes] : expected) {
+    SCOPED_TRACE(name);
+    const auto it = written.find(name);
+    ASSERT_NE(it, written.end()) << "not written";
+    EXPECT_EQ(it->second, bytes);
+  }
+  EXPECT_EQ(written.size(), expected.size()) << "unexpected extra files";
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "tests/temp_dir.hpp"
 
@@ -13,9 +15,17 @@ class CsvTest : public ::testing::Test {
  protected:
   std::string temp_path(const char* name) const { return tmp_.file(name); }
 
+  // The bytes of `path`, read after its writer has closed it.
+  static std::string bytes_of(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+  }
+
   test::TempDir tmp_;
 };
 
+// Rows reach the file as written: tab-separated cells, numbers in decimal,
+// one '\n' per row, and TSV cells unquoted even when they hold a space.
 TEST_F(CsvTest, TsvRoundTrip) {
   const auto path = temp_path("roundtrip.tsv");
   {
@@ -25,66 +35,43 @@ TEST_F(CsvTest, TsvRoundTrip) {
     out.row(1, "softonic.com", 64'300);
     out.row(2, "Somoto Ltd.", 5'652);
   }
-  DelimitedReader in(path, '\t');
-  ASSERT_TRUE(in.ok());
-  std::vector<std::string> cells;
-  ASSERT_TRUE(in.read_row(cells));
-  EXPECT_EQ(cells, (std::vector<std::string>{"id", "name", "count"}));
-  ASSERT_TRUE(in.read_row(cells));
-  EXPECT_EQ(cells[1], "softonic.com");
-  EXPECT_EQ(cells[2], "64300");
-  ASSERT_TRUE(in.read_row(cells));
-  EXPECT_EQ(cells[1], "Somoto Ltd.");
-  EXPECT_FALSE(in.read_row(cells));
+  EXPECT_EQ(bytes_of(path),
+            "id\tname\tcount\n"
+            "1\tsoftonic.com\t64300\n"
+            "2\tSomoto Ltd.\t5652\n");
 }
 
+// A CSV cell holding a comma, a quote or a line break is quoted, with
+// embedded quotes doubled; any other cell is written bare.
 TEST_F(CsvTest, CsvQuotingRoundTrip) {
   const auto path = temp_path("quoting.csv");
   {
     DelimitedWriter out(path, ',');
-    out.row("plain", "with,comma", "with\"quote", "both,\"x\"");
+    out.row("plain", "with,comma", "with\"quote", "both,\"x\"", "two\nlines");
   }
-  DelimitedReader in(path, ',');
-  std::vector<std::string> cells;
-  ASSERT_TRUE(in.read_row(cells));
-  ASSERT_EQ(cells.size(), 4u);
-  EXPECT_EQ(cells[0], "plain");
-  EXPECT_EQ(cells[1], "with,comma");
-  EXPECT_EQ(cells[2], "with\"quote");
-  EXPECT_EQ(cells[3], "both,\"x\"");
+  EXPECT_EQ(bytes_of(path),
+            "plain,\"with,comma\",\"with\"\"quote\",\"both,\"\"x\"\"\","
+            "\"two\nlines\"\n");
 }
 
 TEST_F(CsvTest, EmptyCellsPreserved) {
-  const auto path = temp_path("empty.tsv");
+  const auto tsv = temp_path("empty.tsv");
+  const auto csv = temp_path("empty.csv");
   {
-    DelimitedWriter out(path, '\t');
+    DelimitedWriter out(tsv, '\t');
     out.row("", "middle", "");
+    DelimitedWriter out_csv(csv, ',');
+    out_csv.row("", "middle", "");
   }
-  DelimitedReader in(path, '\t');
-  std::vector<std::string> cells;
-  ASSERT_TRUE(in.read_row(cells));
-  ASSERT_EQ(cells.size(), 3u);
-  EXPECT_EQ(cells[0], "");
-  EXPECT_EQ(cells[1], "middle");
-  EXPECT_EQ(cells[2], "");
+  EXPECT_EQ(bytes_of(tsv), "\tmiddle\t\n");
+  EXPECT_EQ(bytes_of(csv), ",middle,\n");
 }
 
+// A writer whose directory does not exist is not ok(), the state
+// export_corpus checks before it writes meta.tsv and the name pools.
 TEST_F(CsvTest, MissingFileNotOk) {
-  DelimitedReader in("/nonexistent/path/file.tsv", '\t');
-  EXPECT_FALSE(in.ok());
-}
-
-TEST_F(CsvTest, CrlfTolerated) {
-  const auto path = temp_path("crlf.tsv");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "a\tb\r\n";
-  }
-  DelimitedReader in(path, '\t');
-  std::vector<std::string> cells;
-  ASSERT_TRUE(in.read_row(cells));
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[1], "b");
+  DelimitedWriter out(temp_path("missing/file.tsv"), '\t');
+  EXPECT_FALSE(out.ok());
 }
 
 }  // namespace

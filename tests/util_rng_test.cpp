@@ -22,11 +22,21 @@ TEST(Rng, DifferentSeedsDiverge) {
   EXPECT_LT(same, 2);
 }
 
-TEST(Rng, ForkProducesIndependentStreams) {
-  Rng parent(7);
-  Rng c1 = parent.fork(1);
-  Rng c2 = parent.fork(2);
-  EXPECT_NE(c1.next_u64(), c2.next_u64());
+// A substream is a pure function of (seed, salt, index), and its siblings
+// diverge from each other and from the other salts' streams.
+TEST(Rng, SubstreamsAreIndependent) {
+  Rng again = substream(7, 0x5A17, 1);
+  Rng s1 = substream(7, 0x5A17, 1);
+  Rng s2 = substream(7, 0x5A17, 2);
+  Rng other_salt = substream(7, 0x5A18, 1);
+  int same = 0;
+  for (int i = 0; i < 100; ++i) {
+    const std::uint64_t v = s1.next_u64();
+    EXPECT_EQ(again.next_u64(), v);
+    same += v == s2.next_u64();
+    same += v == other_salt.next_u64();
+  }
+  EXPECT_LT(same, 2);
 }
 
 TEST(Rng, UniformRespectsBound) {
@@ -94,20 +104,6 @@ TEST(Rng, NormalHasRequestedMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(std::sqrt(var), 3.0, 0.1);
-}
-
-TEST(Rng, WeightedIndexFollowsWeights) {
-  Rng rng(29);
-  const std::vector<double> w = {1.0, 0.0, 3.0};
-  std::array<int, 3> seen{};
-  for (int i = 0; i < 40000; ++i) ++seen[rng.weighted_index(w)];
-  EXPECT_EQ(seen[1], 0);
-  EXPECT_NEAR(static_cast<double>(seen[2]) / seen[0], 3.0, 0.25);
-}
-
-TEST(Rng, BurstSizeAtLeastOne) {
-  Rng rng(31);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.burst_size(2.5), 1u);
 }
 
 TEST(Rng, ShuffleIsPermutation) {

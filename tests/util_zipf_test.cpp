@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <vector>
 
 namespace longtail::util {
 namespace {
@@ -82,24 +83,32 @@ TEST(Zipf, ExponentOneIsSupported) {
 
 class ZipfSweep : public ::testing::TestWithParam<double> {};
 
-// Property: the empirical CDF at rank n must be 1 and sampling never
-// escapes [1, n], across exponents.
+// Property: across exponents, sampling never escapes [1, n] and the
+// empirical CDF of the draws follows the exact bounded-Zipf CDF.
 TEST_P(ZipfSweep, CdfAndBoundsHold) {
   const double s = GetParam();
   Rng rng(17);
-  ZipfSampler z(500, s);
-  EXPECT_NEAR(z.approx_cdf(500), 1.0, 1e-9);
-  EXPECT_GT(z.approx_cdf(1), 0.0);
-  double prev = 0.0;
-  for (std::uint64_t k : {1ull, 2ull, 5ull, 10ull, 100ull, 500ull}) {
-    const double c = z.approx_cdf(k);
-    EXPECT_GE(c, prev);
-    prev = c;
-  }
-  for (int i = 0; i < 2000; ++i) {
+  constexpr std::uint64_t n = 500;
+  ZipfSampler z(n, s);
+  std::vector<double> mass(n + 1, 0.0);  // mass[k] = sum of j^-s, j <= k
+  for (std::uint64_t k = 1; k <= n; ++k)
+    mass[k] = mass[k - 1] + std::pow(static_cast<double>(k), -s);
+  constexpr int kDraws = 2000;
+  std::vector<int> drawn(n + 1, 0);
+  for (int i = 0; i < kDraws; ++i) {
     const auto k = z.sample(rng);
     ASSERT_GE(k, 1u);
-    ASSERT_LE(k, 500u);
+    ASSERT_LE(k, n);
+    ++drawn[k];
+  }
+  int at_most = 0;
+  std::uint64_t next = 1;
+  for (std::uint64_t k : {1ull, 2ull, 5ull, 10ull, 100ull, 500ull}) {
+    for (; next <= k; ++next) at_most += drawn[next];
+    // 0.05 is over four standard errors of a 2000-draw proportion.
+    EXPECT_NEAR(at_most / static_cast<double>(kDraws), mass[k] / mass[n],
+                0.05)
+        << "k = " << k;
   }
 }
 
