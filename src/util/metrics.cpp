@@ -45,9 +45,8 @@ auto& lookup(Map& map, std::mutex& mutex, std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex);
   auto it = map.find(name);
   if (it == map.end()) {
-    it = map.emplace(std::string(name),
-                     std::make_unique<typename Map::mapped_type::element_type>())
-             .first;
+    using Value = typename Map::mapped_type::element_type;
+    it = map.emplace(std::string(name), std::make_unique<Value>()).first;
   }
   return *it->second;
 }
@@ -59,8 +58,8 @@ std::size_t bucket_for_ms(double ms) {
   if (us <= 1.0) return 0;
   if (us >= static_cast<double>(1ULL << last)) return last;
   const auto v = static_cast<std::uint64_t>(us);
-  const auto b =
-      static_cast<std::size_t>(std::bit_width(v) - (std::has_single_bit(v) ? 1 : 0));
+  const auto b = static_cast<std::size_t>(std::bit_width(v) -
+                                          (std::has_single_bit(v) ? 1 : 0));
   return std::min(b, last);
 }
 

@@ -32,6 +32,7 @@
 #include <mutex>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace longtail::util {
@@ -140,11 +141,17 @@ void parallel_for(std::size_t n, Body&& body, std::size_t grain = 1) {
   for (std::size_t i = 0; i < helpers; ++i) pool.submit(drain);
   drain();  // the calling thread participates
 
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->cv.wait(lock, [&] { return state->done == n_chunks; });
-  // All chunks are claimed and finished; leftover queued drain tasks will
-  // see cursor >= n_chunks and never touch body again.
-  detail::rethrow_first(state->errors);
+  std::vector<std::exception_ptr> errors;
+  {
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->cv.wait(lock, [&] { return state->done == n_chunks; });
+    // All chunks are claimed and finished; leftover queued drain tasks will
+    // see cursor >= n_chunks and never touch body again. One of them may
+    // still hold `state`, so the errors move out here: every caught
+    // exception is then released on this thread.
+    errors = std::move(state->errors);
+  }
+  detail::rethrow_first(errors);
 }
 
 // Maps fn over [0, n), returning results in index order. The result type

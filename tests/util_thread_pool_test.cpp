@@ -148,21 +148,22 @@ TEST_F(ThreadPoolTest, EnvParsingRules) {
 }
 
 TEST_F(ThreadPoolTest, SubmitRunsTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
+  // The count changes only under the mutex, and the pool is declared last
+  // so its destructor joins the workers before `cv` and `m` go: a task
+  // still notifying can then never touch a destroyed condition variable.
   std::mutex m;
   std::condition_variable cv;
+  int ran = 0;  // guarded by m
+  ThreadPool pool(2);
   for (int i = 0; i < 32; ++i)
     pool.submit([&] {
       EXPECT_TRUE(ThreadPool::on_worker_thread());
-      if (ran.fetch_add(1) + 1 == 32) {
-        std::lock_guard<std::mutex> lock(m);
-        cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(m);
+      if (++ran == 32) cv.notify_all();
     });
   std::unique_lock<std::mutex> lock(m);
-  cv.wait(lock, [&] { return ran.load() == 32; });
-  EXPECT_EQ(ran.load(), 32);
+  cv.wait(lock, [&] { return ran == 32; });
+  EXPECT_EQ(ran, 32);
 }
 
 }  // namespace
